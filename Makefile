@@ -31,8 +31,9 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# One iteration of every benchmark (BenchmarkIngestBinary and
-# BenchmarkMonitorAddColumns ride the wildcard), then the overhead
+# One iteration of every benchmark (BenchmarkIngestBinary,
+# BenchmarkMonitorAddColumns and the per-layer
+# BenchmarkOscillationEstimatorPushColumns ride the wildcard), then the overhead
 # budgets: proves the bench suite still builds and runs, that 1/1024
 # sampling stays within its documented throughput envelope, that a
 # two-detector MonitorSet stays within 2.5x a single detector with no
@@ -40,19 +41,20 @@ bench:
 # at least 4x faster per sample than the batched text lines (CI runs
 # this).
 bench-smoke:
-	$(GO) test -run XXX -bench . -benchtime=1x . ./internal/ingest/ ./internal/source/ ./internal/detect/
+	$(GO) test -run XXX -bench . -benchtime=1x . ./internal/ingest/ ./internal/source/ ./internal/detect/ ./internal/stream/
 	AGINGMF_TRACE_BUDGET=1 $(GO) test -run TestTraceOverheadBudget -count=1 -v ./internal/ingest/
 	AGINGMF_DETECT_BUDGET=1 $(GO) test -run TestMonitorSetOverheadBudget -count=1 -v ./internal/detect/
 	AGINGMF_BINARY_BUDGET=1 $(GO) test -run TestBinaryOverTextBudget -count=1 -v ./internal/ingest/
 
 # Machine-readable benchmark snapshot of the hot paths — detector add
-# (per-sample and columnar), shard routing, batched ingestion over both
+# (per-sample and columnar), the columnar Hölder estimator per rung count
+# and frame size, shard routing, batched ingestion over both
 # wire protocols, the replay source, the alert-bus publish path, and the
 # tracing overhead pair — written to BENCH_<date>.json at the repo root
 # for committing and diffing across changes.
 bench-json:
-	$(GO) test -run XXX -bench 'MonitorAdd$$|MonitorAddColumns$$|ShardRouter$$|IngestBatch$$|IngestBinary$$|SourceReplay$$|IngestTraceOverhead|AlertBusPublish$$' \
-		-benchmem . ./internal/ingest/ ./internal/source/ ./internal/control/ \
+	$(GO) test -run XXX -bench 'MonitorAdd$$|MonitorAddColumns$$|OscillationEstimatorPushColumns$$|ShardRouter$$|IngestBatch$$|IngestBinary$$|SourceReplay$$|IngestTraceOverhead|AlertBusPublish$$' \
+		-benchmem . ./internal/stream/ ./internal/ingest/ ./internal/source/ ./internal/control/ \
 		| $(GO) run ./cmd/benchjson > BENCH_$$(date +%F).json
 	@echo wrote BENCH_$$(date +%F).json
 

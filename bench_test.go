@@ -126,7 +126,8 @@ func BenchmarkMonitorAddBatch(b *testing.B) {
 // binary protocol ships, normalized to ns/sample against
 // BenchmarkMonitorAdd and BenchmarkMonitorAddBatch. Unlike AddBatch,
 // which loops the per-sample pipeline, AddColumns runs stage-at-a-time
-// kernels (block extrema, memoized regression), so this is the number
+// kernels (one dyadic extrema cascade for every rung, memoized
+// regression), so this is the number
 // the ISSUE's end-to-end throughput target rests on.
 func BenchmarkMonitorAddColumns(b *testing.B) {
 	for _, size := range []int{256, 4096} {

@@ -39,12 +39,19 @@ type DualJump struct {
 // used swap — exactly as the original study logged both. Its phase is the
 // more advanced of the two per-counter phases, so aging visible on either
 // resource is reported.
+//
+// The Monitor's non-finite rule applies per pair, as in the ingest
+// daemon: a pair with a non-finite counter is rejected whole, so the two
+// streams keep consuming the same pairs and their sample indices stay
+// aligned (which the AddColumns jump merge relies on).
 type DualMonitor struct {
 	cfg  Config
 	free *Monitor
 	swap *Monitor
 
 	jumps []DualJump
+
+	finFree, finSwap []float64 // AddColumns scratch: the pairs minus rejects
 }
 
 // NewDualMonitor creates a monitor pair with a shared configuration.
@@ -63,9 +70,27 @@ func NewDualMonitor(cfg Config) (*DualMonitor, error) {
 // Config returns the shared configuration.
 func (d *DualMonitor) Config() Config { return d.cfg }
 
+// Rejected returns how many non-finite pairs the entry points have
+// refused since the monitor pair was created or restored.
+func (d *DualMonitor) Rejected() int { return d.free.rejected }
+
+// rejectPair reports whether a pair breaks the non-finite rule, counting
+// it against both counters' monitors if so.
+func (d *DualMonitor) rejectPair(freeMemory, usedSwap float64) bool {
+	if finite(freeMemory) && finite(usedSwap) {
+		return false
+	}
+	d.free.reject(1)
+	d.swap.reject(1)
+	return true
+}
+
 // Add consumes one sample of each counter (they are sampled together) and
 // returns any jumps fired by this pair of samples.
 func (d *DualMonitor) Add(freeMemory, usedSwap float64) []DualJump {
+	if d.rejectPair(freeMemory, usedSwap) {
+		return nil
+	}
 	var fired []DualJump
 	if j, ok := d.free.Add(freeMemory); ok {
 		fired = append(fired, DualJump{Counter: CounterFreeMemory, Jump: j})
@@ -85,6 +110,9 @@ func (d *DualMonitor) Add(freeMemory, usedSwap float64) []DualJump {
 func (d *DualMonitor) AddBatch(pairs [][2]float64) []DualJump {
 	var fired []DualJump
 	for _, p := range pairs {
+		if d.rejectPair(p[0], p[1]) {
+			continue
+		}
 		if j, ok := d.free.Add(p[0]); ok {
 			fired = append(fired, DualJump{Counter: CounterFreeMemory, Jump: j})
 		}
@@ -104,6 +132,12 @@ func (d *DualMonitor) AddBatch(pairs [][2]float64) []DualJump {
 // order by sample index (jump indices are strictly increasing within
 // each counter, and a pair's free alarm precedes its swap alarm).
 func (d *DualMonitor) AddColumns(freeMemory, usedSwap []float64) []DualJump {
+	for i := range min(len(freeMemory), len(usedSwap)) {
+		if !finite(freeMemory[i]) || !finite(usedSwap[i]) {
+			freeMemory, usedSwap = d.finitePairs(freeMemory, usedSwap)
+			break
+		}
+	}
 	ff := d.free.AddColumns(freeMemory)
 	sf := d.swap.AddColumns(usedSwap)
 	if len(ff) == 0 && len(sf) == 0 {
@@ -124,11 +158,27 @@ func (d *DualMonitor) AddColumns(freeMemory, usedSwap []float64) []DualJump {
 	return fired
 }
 
+// finitePairs returns the columns with every rejected pair removed.
+func (d *DualMonitor) finitePairs(freeMemory, usedSwap []float64) ([]float64, []float64) {
+	ff, sf := d.finFree[:0], d.finSwap[:0]
+	for i := range min(len(freeMemory), len(usedSwap)) {
+		if f := freeMemory[i]; !d.rejectPair(f, usedSwap[i]) {
+			ff = append(ff, f)
+			sf = append(sf, usedSwap[i])
+		}
+	}
+	d.finFree, d.finSwap = ff[:0], sf[:0]
+	return ff, sf
+}
+
 // AddTraced is Add with per-stage timing: a non-nil tm accumulates the
 // stream-stage push time of both counter streams. Detection state is
 // byte-for-byte identical to Add (timing only reads the clock), so the
 // fleet daemon's traced path preserves the parity the self-test asserts.
 func (d *DualMonitor) AddTraced(freeMemory, usedSwap float64, tm *StageNanos) []DualJump {
+	if d.rejectPair(freeMemory, usedSwap) {
+		return nil
+	}
 	var fired []DualJump
 	if j, ok := d.free.AddTraced(freeMemory, tm); ok {
 		fired = append(fired, DualJump{Counter: CounterFreeMemory, Jump: j})

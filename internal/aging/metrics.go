@@ -22,6 +22,7 @@ const (
 	metricPhase      = "agingmf_monitor_phase"
 	metricJumps      = "agingmf_monitor_jumps_total"
 	metricTrims      = "agingmf_monitor_history_trims_total"
+	metricRejected   = "agingmf_monitor_rejected_samples_total"
 )
 
 // addLatencyBuckets spans the expected Monitor.Add cost (~0.5 µs
@@ -38,6 +39,7 @@ type monitorMetrics struct {
 	phase      *obs.Gauge
 	jumps      *obs.Counter
 	trims      *obs.Counter
+	rejected   *obs.Counter
 }
 
 // Instrument attaches the monitor to a telemetry registry, registering
@@ -74,6 +76,9 @@ func (m *Monitor) instrument(reg *obs.Registry, counterLabel string) {
 			"counter", "detector").With(counterLabel, det),
 		trims: reg.CounterVec(metricTrims,
 			"History-bound trims performed in bounded-memory mode.",
+			"counter").With(counterLabel),
+		rejected: reg.CounterVec(metricRejected,
+			"Non-finite counter samples refused by the aging monitor.",
 			"counter").With(counterLabel),
 	}
 	// Counters count from instrumentation time (the usual process-restart

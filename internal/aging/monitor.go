@@ -252,6 +252,14 @@ type Jump struct {
 // time with Add (or a slice at a time with AddBatch); inspect Phase,
 // Jumps and the derived series at any time. Not safe for concurrent use.
 //
+// Every entry point (Add, AddBatch, AddColumns, AddTraced) applies the
+// ingest daemon's rule to its input: a non-finite sample (NaN, ±Inf) is
+// rejected before it reaches the estimator — it is not consumed, does
+// not advance SamplesSeen and fires nothing — and counted in Rejected.
+// A NaN would otherwise poison every window it passes through, and the
+// per-sample and columnar extrema kernels order it differently, so the
+// rule is also what keeps the entry points byte-for-byte equivalent.
+//
 // Monitor composes the internal/stream pipeline stages:
 //
 //	raw ─▶ est (Hölder) ─▶ vol (moving std) ─▶ std (z-score) ─▶ gate (detector)
@@ -270,10 +278,12 @@ type Monitor struct {
 	alphas     []float64 // Hölder trajectory (lagging MaxRadius behind raw)
 	vols       []float64 // moving std of alphas
 	lastStat   float64   // latest detector-input statistic (not persisted)
+	rejected   int       // non-finite samples refused (not persisted)
 
 	jumps []Jump
 
 	colAlphas []float64 // AddColumns scratch: the batch's emitted alphas
+	finiteCol []float64 // AddBatch/AddColumns scratch: the batch minus rejects
 
 	met *monitorMetrics // telemetry; nil (zero overhead) unless Instrument-ed
 }
@@ -321,9 +331,52 @@ func (m *Monitor) SamplesSeen() int { return m.seen }
 // estimator needs MaxRadius of future context.
 func (m *Monitor) Lag() int { return m.est.Lag() }
 
+// Rejected returns how many non-finite samples the entry points have
+// refused since the monitor was created or restored.
+func (m *Monitor) Rejected() int { return m.rejected }
+
+// finite reports whether x is neither NaN nor ±Inf: x-x is 0 exactly
+// for finite x (NaN and ±Inf both yield NaN, and NaN != 0).
+func finite(x float64) bool { return x-x == 0 }
+
+// reject counts n refused samples.
+func (m *Monitor) reject(n int) {
+	m.rejected += n
+	if m.met != nil {
+		m.met.rejected.Add(uint64(n))
+	}
+}
+
+// finiteOnly returns xs with its non-finite samples removed, counting
+// them as rejected. When every sample is finite — the norm — it returns
+// xs itself without copying.
+func (m *Monitor) finiteOnly(xs []float64) []float64 {
+	i := 0
+	for i < len(xs) && finite(xs[i]) {
+		i++
+	}
+	if i == len(xs) {
+		return xs
+	}
+	kept := append(m.finiteCol[:0], xs[:i]...)
+	for _, x := range xs[i:] {
+		if finite(x) {
+			kept = append(kept, x)
+		}
+	}
+	m.finiteCol = kept[:0]
+	m.reject(len(xs) - len(kept))
+	return kept
+}
+
 // Add consumes one counter sample. It returns a Jump and true when this
-// sample completes evidence of a volatility jump.
+// sample completes evidence of a volatility jump. A non-finite sample is
+// rejected (see Monitor).
 func (m *Monitor) Add(x float64) (Jump, bool) {
+	if !finite(x) {
+		m.reject(1)
+		return Jump{}, false
+	}
 	if m.met == nil {
 		return m.addSample(x)
 	}
@@ -339,6 +392,7 @@ func (m *Monitor) Add(x float64) (Jump, bool) {
 // instrumentation overhead — and, further up the stack, the channel and
 // parse cost of fleet ingestion — over the whole batch.
 func (m *Monitor) AddBatch(xs []float64) []Jump {
+	xs = m.finiteOnly(xs)
 	if m.met == nil {
 		return m.addBatch(xs)
 	}
@@ -369,6 +423,7 @@ func (m *Monitor) addBatch(xs []float64) []Jump {
 // makes the binary wire path fast: one call per frame instead of one
 // call chain per sample.
 func (m *Monitor) AddColumns(xs []float64) []Jump {
+	xs = m.finiteOnly(xs)
 	if m.met == nil {
 		return m.addColumns(xs)
 	}
@@ -491,6 +546,10 @@ type StageNanos struct {
 // the stage calls — so monitor state stays byte-for-byte equal to the
 // untraced path (asserted by TestAddTracedParity).
 func (m *Monitor) AddTraced(x float64, tm *StageNanos) (Jump, bool) {
+	if !finite(x) {
+		m.reject(1)
+		return Jump{}, false
+	}
 	if m.met == nil {
 		return m.addSampleT(x, tm)
 	}

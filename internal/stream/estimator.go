@@ -43,15 +43,13 @@ type OscillationEstimator struct {
 	memoOK    bool
 
 	// rawTail retains the most recent raw samples (up to tailCap =
-	// 4*maxR+2) so PushColumns can hand each tracker a contiguous view
-	// spanning the batch plus enough history for block processing
-	// (pushRangeBlocks needs the block before the first completed
-	// window). Derived state: it is never persisted, and after a restore
-	// the trackers fall back to sample-by-sample pushes until the tail
-	// has refilled.
-	rawTail    []float64
-	tailCap    int
-	rawScratch []float64
+	// 2*maxR, with amortized copy-down) so PushColumns can run the
+	// extrema cascade over a contiguous view reaching back to the window
+	// of the first center the batch completes. Derived state: it is never
+	// persisted, and after a restore PushColumns falls back to
+	// sample-by-sample pushRange until the tail has refilled.
+	rawTail []float64
+	tailCap int
 
 	// Per-batch emission scratch: alphaMemoCols caches each tracker's osc
 	// slice header and base here so the per-center loop indexes flat
@@ -99,7 +97,7 @@ func NewOscillationEstimator(radii []int) (*OscillationEstimator, error) {
 	for i := range e.memoOsc {
 		e.memoOsc[i] = -1 // oscillations are >= 0, so no vector matches yet
 	}
-	e.tailCap = 4*e.maxR + 2 // ≥ 2w for every rung's window w = 2r+1
+	e.tailCap = 2 * e.maxR // the history before the first new center's widest window
 	e.rawTail = make([]float64, 0, 2*e.tailCap)
 	return e, nil
 }
@@ -140,10 +138,13 @@ func (e *OscillationEstimator) Push(x float64) (float64, bool) {
 // Hölder estimates it completes to out, returning the extended slice.
 // It is the batch-first form of Push — the state after PushColumns(xs)
 // is byte-identical to len(xs) calls of Push (asserted by the parity
-// tests) — restructured for throughput:
+// tests and FuzzPushColumns) — restructured for throughput:
 //
-//   - trackers consume the column rung-major (pushRange), keeping each
-//     deque's cursors in registers across the batch;
+//   - every rung's oscillations come from one dyadic extrema cascade
+//     over the contiguous view rawTail ++ xs (extremaCascade): O(log
+//     max(r)) branch-free passes in total instead of one monotonic-deque
+//     pass per rung; the deques are then rebuilt from each rung's final
+//     window;
 //   - consumed oscillations are trimmed once at the end of the batch
 //     instead of once per sample, turning n copy-downs into one (the
 //     final osc/oscBase are the same either way);
@@ -151,31 +152,30 @@ func (e *OscillationEstimator) Push(x float64) (float64, bool) {
 //     oscillation vector, so runs of unchanged window extrema — the
 //     common case for real, quantized memory counters — skip the
 //     math.Log calls entirely.
+//
+// The cascade's scratch is pooled across estimators. Until the raw tail
+// holds 2*Lag() samples (or the whole stream) — only after a restore —
+// the trackers consume the column through the per-sample pushRange.
 func (e *OscillationEstimator) PushColumns(xs []float64, out []float64) []float64 {
 	if len(xs) == 0 {
 		return out
 	}
 	idx0 := e.seen
+	tail := e.rawTail[max(0, len(e.rawTail)-e.tailCap):]
 	// Contiguous raw view [a0, idx0+len(xs)): retained tail + this batch.
-	a0 := idx0 - len(e.rawTail)
-	need := len(e.rawTail) + len(xs)
-	if cap(e.rawScratch) < need {
-		e.rawScratch = make([]float64, 0, need+e.tailCap)
-	}
-	a := append(append(e.rawScratch[:0], e.rawTail...), xs...)
-	e.rawScratch = a[:0]
-	for _, tr := range e.trk {
-		if tr.vanHerkReady(a0, idx0, len(xs)) {
-			tr.pushRangeBlocks(a, a0, idx0, len(xs))
-		} else {
+	a0 := idx0 - len(tail)
+	sc := cascadePool.Get().(*cascadeScratch)
+	a := append(append(sc.raw[:0], tail...), xs...)
+	if a0 == 0 || len(tail) == e.tailCap {
+		e.extremaCascade(a, a0, idx0, sc)
+	} else {
+		for _, tr := range e.trk {
 			tr.pushRange(idx0, xs)
 		}
 	}
-	keep := len(a)
-	if keep > e.tailCap {
-		keep = e.tailCap
-	}
-	e.rawTail = append(e.rawTail[:0], a[len(a)-keep:]...)
+	e.rawTail = append(e.rawTail[:0], a[len(a)-min(len(a), e.tailCap):]...)
+	sc.raw = a[:0]
+	cascadePool.Put(sc)
 	e.seen += len(xs)
 	// Same emission rule as Push: sample n-1 completes center t = n-1-maxR,
 	// which is evaluated once t >= maxR.
@@ -229,10 +229,8 @@ func (e *OscillationEstimator) alphaMemoCols(tStart, tEnd int, out []float64) []
 		col := oscs[i][tStart-bases[i] : tEnd+1-bases[i]]
 		prev := memoOsc[i]
 		for t, v := range col {
-			if v != prev {
-				changed[t] = 1
-				prev = v
-			}
+			changed[t] |= flag(v != prev)
+			prev = v
 		}
 	}
 	alpha := e.memoAlpha
@@ -252,6 +250,15 @@ func (e *OscillationEstimator) alphaMemoCols(tStart, tEnd int, out []float64) []
 		out = append(out, alpha)
 	}
 	return out
+}
+
+// flag is b as 0/1; the compiler lowers it to a branch-free SETcc, so
+// the change-flag scan does not mispredict on noisy oscillations.
+func flag(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // memoSlope recomputes the regression slope from the memoized

@@ -1,6 +1,6 @@
 package stream
 
-import "math"
+import "sync"
 
 // idxVal is one deque entry of the sliding-extrema tracker.
 type idxVal struct {
@@ -66,10 +66,6 @@ type slidingExtrema struct {
 	osc  []float64
 	// oscBase is the center index of osc[0].
 	oscBase int
-	// sufMax/sufMin and prefMax/prefMin are pushRangeBlocks' per-block
-	// suffix and prefix scratch; derived state, never persisted.
-	sufMax, sufMin   []float64
-	prefMax, prefMin []float64
 }
 
 func newSlidingExtrema(r int) *slidingExtrema {
@@ -188,124 +184,131 @@ func (s *slidingExtrema) pushRange(idx0 int, xs []float64) {
 	s.osc = osc
 }
 
-// pushRangeBlocks is the batch form of push for runs long enough to
-// amortize block processing: it computes the same oscillations with the
-// van Herk–Gil-Werman two-pass scheme — running prefix extrema within
-// w-aligned blocks plus per-block suffix extrema, ~4 comparisons per
-// sample regardless of radius — instead of maintaining the monotonic
-// deques sample by sample.
+// cascadeScratch is PushColumns' per-call working memory: the contiguous
+// raw view and the max/min arrays the dyadic cascade shrinks in place.
+// It is O(batch) and shared through cascadePool, so an estimator holds
+// none of it between calls.
+type cascadeScratch struct {
+	raw, mx, mn []float64
+}
+
+var cascadePool = sync.Pool{New: func() any { return new(cascadeScratch) }}
+
+// extremaCascade appends to every tracker the oscillations completed by
+// the samples at absolute indices [idx0, a0+len(a)), then rebuilds each
+// tracker's deques. a is a contiguous raw view starting at absolute index
+// a0; it must reach back to 0 or at least 2*max(r) samples before idx0.
 //
-// a is a contiguous raw view covering absolute indices [a0, idx0+m);
-// xs[0..m) lives at a[idx0-a0..]. The caller must provide history back
-// to the start of the block preceding the first completed window
-// (vanHerkReady). The oscillation of a window is its true max minus its
-// true min — unique values independent of the algorithm — so the osc
-// slice ends bit-identical to repeated push; the deques, which only
-// matter for snapshots and for resuming sample-by-sample, are
-// reconstructed afterwards from the final window's raw samples, whose
-// monotone chains are exactly what repeated push would have left
-// (asserted by the columnar parity tests).
-func (s *slidingExtrema) pushRangeBlocks(a []float64, a0, idx0, m int) {
-	w := s.w
-	end := idx0 + m - 1
-	e := idx0
-	if e < w-1 {
-		e = w - 1
-	}
-	if cap(s.sufMax) < w {
-		s.sufMax = make([]float64, w)
-		s.sufMin = make([]float64, w)
-		s.prefMax = make([]float64, w)
-		s.prefMin = make([]float64, w)
-	}
-	sufMax, sufMin := s.sufMax[:w], s.sufMin[:w]
-	prefMax, prefMin := s.prefMax[:w], s.prefMin[:w]
-	// One oscillation per e in [e, end]: pre-extend osc once so the
-	// emission loop stores by index instead of appending per element.
-	osc := s.osc
-	k := len(osc)
-	if need := k + end - e + 1; cap(osc) < need {
-		grown := make([]float64, k, need+need/4)
-		copy(grown, osc)
-		osc = grown
-	}
-	osc = osc[:k+end-e+1]
-	for e <= end {
-		bs := e / w * w // current block [bs, bs+w-1]
-		pb := bs - w    // previous block [pb, bs-1]
-		// Suffix extrema of the previous block: sufMax[q] = max blk[q..w-1].
-		blk := a[pb-a0 : bs-a0] // len w: lets the compiler drop bounds checks
-		v := blk[w-1]
-		mx, mn := v, v
-		sufMax[w-1], sufMin[w-1] = v, v
-		for j := w - 2; j >= 0; j-- {
-			v = blk[j]
-			if v > mx {
-				mx = v
-			}
-			if v < mn {
-				mn = v
-			}
-			sufMax[j], sufMin[j] = mx, mn
+// It is a dyadic sparse table built in place: mx[k]/mn[k] first hold the
+// radius-1 extrema of center a0+1+k, and each doubling step turns
+// radius-ρ extrema into radius-2ρ extrema of center a0+2ρ+k from the two
+// radius-ρ windows at that center ±ρ, shrinking the valid length by 2ρ.
+// A rung R with ρ <= R < 2ρ reads level ρ: its window [c-R, c+R] is the
+// union of the radius-ρ windows at c-(R-ρ) and c+(R-ρ). One pass of
+// ~log2(max r) levels thus serves any ladder — non-dyadic, unsorted or
+// with duplicates — at two comparisons per sample per level.
+//
+// The builtin max/min compile to branch-free code, which matters on
+// noisy counters where compare-and-branch mispredicts. A window's max
+// and min are unique values whatever the algorithm, and for non-NaN
+// input their difference is bit-identical to the deque tracker's (the
+// two may pick differently signed zeros only when the whole window is
+// zero, where either difference is +0), so the oscillations — and
+// everything regressed from them — match repeated push exactly.
+func (e *OscillationEstimator) extremaCascade(a []float64, a0, idx0 int, sc *cascadeScratch) {
+	end := a0 + len(a) - 1
+	if n := len(a) - 2; n > 0 {
+		if cap(sc.mx) < n {
+			sc.mx = make([]float64, n, n+n/4)
+			sc.mn = make([]float64, n, n+n/4)
 		}
-		// Running prefix extrema over [bs, e-1] (empty when e opens the block).
-		rMax, rMin := math.Inf(-1), math.Inf(1)
-		for j := bs; j < e; j++ {
-			v = a[j-a0]
-			if v > rMax {
-				rMax = v
-			}
-			if v < rMin {
-				rMin = v
-			}
+		mx, mn := sc.mx[:n], sc.mn[:n]
+		a1, a2 := a[1:n+1], a[2:n+2]
+		for k, u := range a[:n] {
+			v, w := a1[k], a2[k]
+			mx[k] = max(u, v, w)
+			mn[k] = min(u, v, w)
 		}
-		stop := bs + w - 1
-		if stop > end {
-			stop = end
-		}
-		// Two passes over [e, stop]: the serial prefix scan (loop-carried
-		// running extrema) writes prefMax/prefMin, then the combine pass —
-		// independent per element, so it pipelines — merges each window's
-		// previous-block suffix with its prefix. Window [e-w+1, e] =
-		// suffix of the previous block + prefix [bs, e]; q == w means the
-		// window is exactly the current block.
-		pe := 0
-		for _, x := range a[e-a0 : stop+1-a0] {
-			if x > rMax {
-				rMax = x
-			}
-			if x < rMin {
-				rMin = x
-			}
-			prefMax[pe], prefMin[pe] = rMax, rMin
-			pe++
-		}
-		q := e - w + 1 - pb
-		for j := 0; j < pe; j++ {
-			mx, mn = prefMax[j], prefMin[j]
-			if q < w {
-				if sv := sufMax[q]; sv > mx {
-					mx = sv
-				}
-				if sv := sufMin[q]; sv < mn {
-					mn = sv
+		for rho := 1; ; rho *= 2 {
+			for _, tr := range e.trk {
+				if tr.r >= rho && tr.r < 2*rho {
+					tr.emitCascade(mx[:n], mn[:n], a0+rho, rho, idx0, end)
 				}
 			}
-			q++
-			osc[k] = mx - mn
-			k++
+			// Stop when no rung reads a wider level, or when wider
+			// windows complete no center of this view.
+			if 2*rho > e.maxR || n <= 2*rho {
+				break
+			}
+			n -= 2 * rho
+			lo, hi := mx[:n], mx[2*rho:]
+			hi = hi[:len(lo)] // equal lengths: no bounds checks in the loops
+			for k := range lo {
+				lo[k] = max(lo[k], hi[k])
+			}
+			lo, hi = mn[:n], mn[2*rho:]
+			hi = hi[:len(lo)]
+			for k := range lo {
+				lo[k] = min(lo[k], hi[k])
+			}
 		}
-		e = stop + 1
 	}
-	s.osc = osc[:k]
-	// Rebuild the monotonic deques for the window ending at `end`: scan
-	// newest to oldest keeping strict improvements — the newest of equal
-	// values survives, exactly as push's `<=`/`>=` back-pops leave it.
+	for _, tr := range e.trk {
+		tr.rebuildDeques(a, a0, end)
+	}
+}
+
+// emitCascade appends the oscillations of centers [max(r, idx0-r), end-r]
+// — exactly those push would append for samples idx0..end — from the
+// radius-rho cascade level mx/mn, whose element k is the window of
+// center base+k (rho <= r < 2*rho).
+func (s *slidingExtrema) emitCascade(mx, mn []float64, base, rho, idx0, end int) {
+	cs := max(s.r, idx0-s.r)
+	cnt := end - s.r - cs + 1
+	if cnt <= 0 {
+		return
+	}
+	k0 := len(s.osc)
+	if need := k0 + cnt; cap(s.osc) < need {
+		grown := make([]float64, k0, need+need/4)
+		copy(grown, s.osc)
+		s.osc = grown
+	}
+	s.osc = s.osc[:k0+cnt]
+	dst := s.osc[k0:]
+	c0 := cs - base
+	d := s.r - rho
+	if d == 0 {
+		hiM, hiN := mx[c0:c0+cnt], mn[c0:c0+cnt]
+		hiM, hiN = hiM[:len(dst)], hiN[:len(dst)]
+		for j := range dst {
+			dst[j] = hiM[j] - hiN[j]
+		}
+		return
+	}
+	loM, loN := mx[c0-d:c0-d+cnt], mn[c0-d:c0-d+cnt]
+	hiM, hiN := mx[c0+d:c0+d+cnt], mn[c0+d:c0+d+cnt]
+	loM, loN = loM[:len(dst)], loN[:len(dst)]
+	hiM, hiN = hiM[:len(dst)], hiN[:len(dst)]
+	for j := range dst {
+		dst[j] = max(loM[j], hiM[j]) - min(loN[j], hiN[j])
+	}
+}
+
+// rebuildDeques sets the monotonic deques to those repeated push leaves
+// after consuming sample end: the strict running extrema of the window
+// ending at end (or of the whole stream, while it is shorter than w),
+// scanned newest to oldest so that the newest of equal values survives,
+// exactly as push's `<=`/`>=` back-pops leave it. a is a contiguous raw
+// view starting at absolute index a0 that covers that window.
+func (s *slidingExtrema) rebuildDeques(a []float64, a0, end int) {
 	mb, nb := s.maxD.buf, s.minD.buf
-	mp, np := len(mb), len(nb)
-	curMax, curMin := math.Inf(-1), math.Inf(1)
-	lo := end - w + 1
-	for j := end; j >= lo; j-- {
+	mp, np := len(mb)-1, len(nb)-1
+	curMax := a[end-a0]
+	curMin := curMax
+	mb[mp] = idxVal{idx: end, v: curMax}
+	nb[np] = mb[mp]
+	for j := end - 1; j >= max(end-s.w+1, a0); j-- {
 		v := a[j-a0]
 		if v > curMax {
 			mp--
@@ -320,20 +323,6 @@ func (s *slidingExtrema) pushRangeBlocks(a []float64, a0, idx0, m int) {
 	}
 	s.maxD.head, s.maxD.n = mp, len(mb)-mp
 	s.minD.head, s.minD.n = np, len(nb)-np
-}
-
-// vanHerkReady reports whether a batch of m samples starting at absolute
-// index idx0, with contiguous raw history back to a0, can run
-// pushRangeBlocks: the batch must be long enough to amortize the block
-// passes, at least one window must complete, and the history must reach
-// the block preceding the first completed window's start.
-func (s *slidingExtrema) vanHerkReady(a0, idx0, m int) bool {
-	w := s.w
-	e := idx0
-	if e < w-1 {
-		e = w - 1
-	}
-	return m >= w && idx0+m-1 >= e && e/w*w-w >= a0
 }
 
 // trim discards oscillations for centers below minCenter, bounding the

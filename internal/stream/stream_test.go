@@ -427,4 +427,22 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(2000, step); avg != 0 {
 		t.Fatalf("steady-state pipeline allocates %v per push", avg)
 	}
+	// The columnar estimator at the binary-frame size: the extrema
+	// cascade's scratch is pooled, so a warm PushColumns allocates
+	// nothing either (outside the race detector, see raceEnabled).
+	if raceEnabled {
+		return
+	}
+	cols, err := NewOscillationEstimator([]int{2, 4, 8, 16, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, 0, len(xs))
+	frame := func() { out = cols.PushColumns(xs, out[:0]) }
+	for j := 0; j < 4; j++ {
+		frame()
+	}
+	if avg := testing.AllocsPerRun(50, frame); avg != 0 {
+		t.Fatalf("steady-state PushColumns allocates %v per %d-sample frame", avg, len(xs))
+	}
 }
