@@ -236,9 +236,9 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-detectors: %w", err)
 	}
 
-	// The binary self-test measures peak columnar throughput; per-sample
-	// observability (tracing, flight recorders) would force every frame
-	// onto the row-bridge path and measure that instead.
+	// The binary self-test measures peak columnar throughput; tracing
+	// and flight recorders annotate samples one at a time (a sampled
+	// frame whole, every frame's recorded tail) and would add that cost.
 	if opt.sbSelftest {
 		sampleEvery = 0
 		opt.flightDepth = 0

@@ -100,8 +100,9 @@ func TestAddColumnsParity(t *testing.T) {
 	}
 }
 
-// TestAddColumnsInterleaved mixes Add, AddBatch and AddColumns on one
-// monitor and requires the same final state as pure per-sample feeding.
+// TestAddColumnsInterleaved mixes Add with short and long AddColumns
+// calls on one monitor and requires the same final state as pure
+// per-sample feeding.
 func TestAddColumnsInterleaved(t *testing.T) {
 	cfg := columnarTestConfig()
 	cfg.HistoryLimit = 32
@@ -123,7 +124,7 @@ func TestAddColumnsInterleaved(t *testing.T) {
 			m.Add(xs[off])
 			off++
 		case off%3 == 1 && n >= 10:
-			m.AddBatch(xs[off : off+10])
+			m.AddColumns(xs[off : off+10])
 			off += 10
 		default:
 			end := off + 31
@@ -137,13 +138,13 @@ func TestAddColumnsInterleaved(t *testing.T) {
 	refState, _ := ref.SaveState()
 	gotState, _ := m.SaveState()
 	if !bytes.Equal(gotState, refState) {
-		t.Fatal("interleaved Add/AddBatch/AddColumns diverged from per-sample Add")
+		t.Fatal("interleaved Add/AddColumns diverged from per-sample Add")
 	}
 }
 
 // TestDualAddColumnsParity pins the jump-merge ordering: the dual
 // columnar path must report jumps in per-pair free-then-swap arrival
-// order and keep SaveState identical to AddBatch.
+// order and keep SaveState identical to per-pair Add.
 func TestDualAddColumnsParity(t *testing.T) {
 	cfg := columnarTestConfig()
 	free := volatileTrace(21, 1200)
@@ -156,7 +157,10 @@ func TestDualAddColumnsParity(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = [2]float64{free[i], swap[i]}
 	}
-	want := ref.AddBatch(pairs)
+	var want []DualJump
+	for _, p := range pairs {
+		want = append(want, ref.Add(p[0], p[1])...)
+	}
 	if len(want) < 2 {
 		t.Fatalf("reference fired %d jumps; need at least 2 to exercise the merge", len(want))
 	}

@@ -86,25 +86,11 @@ func (m *Monitor) instrument(reg *obs.Registry, counterLabel string) {
 	m.met.phase.Set(float64(m.Phase()))
 }
 
-// observeAdd records the telemetry of one Add call; the caller guarantees
-// m.met != nil.
-func (m *Monitor) observeAdd(start time.Time, fired bool) {
-	m.met.addSeconds.Observe(time.Since(start).Seconds())
-	m.met.samples.Inc()
-	if m.volsSeen > 0 {
-		m.met.volatility.Set(m.vols[len(m.vols)-1])
-	}
-	if fired {
-		m.met.jumps.Inc()
-		m.met.phase.Set(float64(m.Phase()))
-	}
-}
-
-// observeAddBatch records the telemetry of one AddBatch call: one
-// latency observation for the whole batch (the histogram measures call
-// latency, and AddBatch is one call) and bulk counter updates. The
-// caller guarantees m.met != nil.
-func (m *Monitor) observeAddBatch(start time.Time, n, fired int) {
+// observe records the telemetry of one Add or AddColumns call that
+// consumed n samples and fired jumps: one latency observation for the
+// call (the histogram measures call latency) and bulk counter updates.
+// The caller guarantees m.met != nil.
+func (m *Monitor) observe(start time.Time, n, fired int) {
 	m.met.addSeconds.Observe(time.Since(start).Seconds())
 	m.met.samples.Add(uint64(n))
 	if m.volsSeen > 0 {

@@ -249,10 +249,10 @@ type Jump struct {
 }
 
 // Monitor is the online aging detector. Feed it one counter sample at a
-// time with Add (or a slice at a time with AddBatch); inspect Phase,
+// time with Add (or a column at a time with AddColumns); inspect Phase,
 // Jumps and the derived series at any time. Not safe for concurrent use.
 //
-// Every entry point (Add, AddBatch, AddColumns, AddTraced) applies the
+// Every entry point (Add, AddColumns, AddTraced) applies the
 // ingest daemon's rule to its input: a non-finite sample (NaN, ±Inf) is
 // rejected before it reaches the estimator — it is not consumed, does
 // not advance SamplesSeen and fires nothing — and counted in Rejected.
@@ -283,7 +283,7 @@ type Monitor struct {
 	jumps []Jump
 
 	colAlphas []float64 // AddColumns scratch: the batch's emitted alphas
-	finiteCol []float64 // AddBatch/AddColumns scratch: the batch minus rejects
+	finiteCol []float64 // AddColumns scratch: the column minus rejects
 
 	met *monitorMetrics // telemetry; nil (zero overhead) unless Instrument-ed
 }
@@ -372,46 +372,7 @@ func (m *Monitor) finiteOnly(xs []float64) []float64 {
 // Add consumes one counter sample. It returns a Jump and true when this
 // sample completes evidence of a volatility jump. A non-finite sample is
 // rejected (see Monitor).
-func (m *Monitor) Add(x float64) (Jump, bool) {
-	if !finite(x) {
-		m.reject(1)
-		return Jump{}, false
-	}
-	if m.met == nil {
-		return m.addSample(x)
-	}
-	start := time.Now()
-	j, fired := m.addSample(x)
-	m.observeAdd(start, fired)
-	return j, fired
-}
-
-// AddBatch consumes a slice of counter samples and returns the jumps
-// fired while consuming it, in order. It is byte-for-byte equivalent to
-// calling Add per sample (asserted by the parity tests) but amortizes the
-// instrumentation overhead — and, further up the stack, the channel and
-// parse cost of fleet ingestion — over the whole batch.
-func (m *Monitor) AddBatch(xs []float64) []Jump {
-	xs = m.finiteOnly(xs)
-	if m.met == nil {
-		return m.addBatch(xs)
-	}
-	start := time.Now()
-	fired := m.addBatch(xs)
-	m.observeAddBatch(start, len(xs), len(fired))
-	return fired
-}
-
-// addBatch is the un-instrumented AddBatch loop.
-func (m *Monitor) addBatch(xs []float64) []Jump {
-	var fired []Jump
-	for _, x := range xs {
-		if j, ok := m.addSample(x); ok {
-			fired = append(fired, j)
-		}
-	}
-	return fired
-}
+func (m *Monitor) Add(x float64) (Jump, bool) { return m.AddTraced(x, nil) }
 
 // AddColumns consumes a whole column of counter samples through the
 // batch-first kernel: the estimator runs rung-major over the column
@@ -429,7 +390,7 @@ func (m *Monitor) AddColumns(xs []float64) []Jump {
 	}
 	start := time.Now()
 	fired := m.addColumns(xs)
-	m.observeAddBatch(start, len(xs), len(fired))
+	m.observe(start, len(xs), len(fired))
 	return fired
 }
 
@@ -541,10 +502,10 @@ type StageNanos struct {
 }
 
 // AddTraced is Add with per-stage timing: when tm is non-nil, the time
-// spent in each stream-stage push is accumulated into it. The detection
-// arithmetic is identical to Add — timing only reads the clock around
-// the stage calls — so monitor state stays byte-for-byte equal to the
-// untraced path (asserted by TestAddTracedParity).
+// spent in each stream-stage push is accumulated into it. Add is
+// AddTraced with a nil tm; timing only reads the clock around the stage
+// calls, so monitor state is byte-for-byte the same either way
+// (asserted by TestAddTracedParity).
 func (m *Monitor) AddTraced(x float64, tm *StageNanos) (Jump, bool) {
 	if !finite(x) {
 		m.reject(1)
@@ -555,7 +516,11 @@ func (m *Monitor) AddTraced(x float64, tm *StageNanos) (Jump, bool) {
 	}
 	start := time.Now()
 	j, fired := m.addSampleT(x, tm)
-	m.observeAdd(start, fired)
+	n := 0
+	if fired {
+		n = 1
+	}
+	m.observe(start, 1, n)
 	return j, fired
 }
 
@@ -565,9 +530,6 @@ func (m *Monitor) AddTraced(x float64, tm *StageNanos) (Jump, bool) {
 // baseline has calibrated. It is diagnostic state for the flight
 // recorder and is deliberately not part of SaveState snapshots.
 func (m *Monitor) LastStat() float64 { return m.lastStat }
-
-// addSample is the un-instrumented Add pipeline.
-func (m *Monitor) addSample(x float64) (Jump, bool) { return m.addSampleT(x, nil) }
 
 // addSampleT pushes the sample through the stream stages in order,
 // records emitted values in the retained histories, and turns a detector
@@ -730,7 +692,7 @@ func Analyze(s series.Series, cfg Config) (AnalysisResult, error) {
 	if s.Len() < 2*cfg.MaxRadius+cfg.VolatilityWindow+cfg.DetectorWarmup {
 		return AnalysisResult{}, fmt.Errorf("analyze %q: %d samples: %w", s.Name, s.Len(), ErrNotReady)
 	}
-	mon.AddBatch(s.Values)
+	mon.AddColumns(s.Values)
 	res := AnalysisResult{
 		Jumps:      mon.Jumps(),
 		FinalPhase: mon.Phase(),

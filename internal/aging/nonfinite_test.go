@@ -22,9 +22,9 @@ func saveState(t *testing.T, m *Monitor) []byte {
 // through, and the per-sample and columnar extrema kernels order it
 // differently, so without the rule Add and AddColumns diverge bit-wise
 // on a noisy trace at the default ladder in 4096-sample chunks. Add,
-// AddBatch, AddColumns and AddTraced must each leave the monitor
-// byte-for-byte equal to feeding only the finite samples, and count the
-// same rejections.
+// AddColumns (short and long columns) and AddTraced must each leave the
+// monitor byte-for-byte equal to feeding only the finite samples, and
+// count the same rejections.
 func TestMonitorRejectsNonFinite(t *testing.T) {
 	cfg := DefaultConfig()
 	dirty := volatileTrace(31, 20000)
@@ -61,7 +61,11 @@ func TestMonitorRejectsNonFinite(t *testing.T) {
 				m.AddTraced(x, &tm)
 			}
 		},
-		"AddBatch": func(m *Monitor) { m.AddBatch(dirty) },
+		"AddColumns/7": func(m *Monitor) {
+			for off := 0; off < len(dirty); off += 7 {
+				m.AddColumns(dirty[off:min(off+7, len(dirty))])
+			}
+		},
 		"AddColumns/4096": func(m *Monitor) {
 			for off := 0; off < len(dirty); off += 4096 {
 				m.AddColumns(dirty[off:min(off+4096, len(dirty))])
@@ -90,7 +94,7 @@ func TestMonitorRejectsNonFinite(t *testing.T) {
 // TestDualMonitorRejectsNonFinitePairs pins the pair form of the rule: a
 // pair with a non-finite counter is rejected whole on every DualMonitor
 // entry point, so the two streams stay index-aligned and AddColumns
-// still merges jumps in AddBatch's per-pair order.
+// still merges jumps in Add's per-pair order.
 func TestDualMonitorRejectsNonFinitePairs(t *testing.T) {
 	cfg := columnarTestConfig()
 	free := volatileTrace(21, 1200)
@@ -105,7 +109,10 @@ func TestDualMonitorRejectsNonFinitePairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ref.AddBatch(pairs)
+	var want []DualJump
+	for _, p := range pairs {
+		want = append(want, ref.Add(p[0], p[1])...)
+	}
 	if len(want) < 2 {
 		t.Fatalf("reference fired %d jumps; need at least 2 to exercise the merge", len(want))
 	}
@@ -153,7 +160,7 @@ func TestDualMonitorRejectsNonFinitePairs(t *testing.T) {
 			t.Fatalf("%s: dual SaveState diverged", name)
 		}
 		if d.Rejected() != rejected || ref.Rejected() != rejected {
-			t.Fatalf("%s: Rejected() = %d (AddBatch %d), want %d", name, d.Rejected(), ref.Rejected(), rejected)
+			t.Fatalf("%s: Rejected() = %d (reference %d), want %d", name, d.Rejected(), ref.Rejected(), rejected)
 		}
 		if d.SamplesSeen() != len(pairs)-rejected {
 			t.Fatalf("%s: SamplesSeen() = %d, want %d", name, d.SamplesSeen(), len(pairs)-rejected)

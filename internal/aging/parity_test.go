@@ -11,7 +11,7 @@ import (
 )
 
 // Online/offline/batch parity: the offline Analyze path, the
-// sample-at-a-time Add path, AddBatch at assorted batch sizes, and
+// sample-at-a-time Add path, AddColumns at assorted column sizes, and
 // bounded-history mode all drive the same internal/stream kernel, and
 // must produce identical jumps and phases — not merely close, identical,
 // including the serialized monitor state where the configs coincide.
@@ -109,8 +109,8 @@ func TestMonitorParityAcrossEntryPoints(t *testing.T) {
 					t.Fatal("Analyze volatility series diverged from Add path")
 				}
 
-				// AddBatch at assorted batch sizes, including a trailing
-				// partial batch.
+				// AddColumns at assorted column sizes, including a
+				// trailing partial column.
 				for _, bs := range []int{1, 2, 7, 64, 333} {
 					mon, err := NewMonitor(cfg)
 					if err != nil {
@@ -119,15 +119,15 @@ func TestMonitorParityAcrossEntryPoints(t *testing.T) {
 					var jumps []Jump
 					for i := 0; i < len(xs); i += bs {
 						end := min(i+bs, len(xs))
-						jumps = append(jumps, mon.AddBatch(xs[i:end])...)
+						jumps = append(jumps, mon.AddColumns(xs[i:end])...)
 					}
-					sameJumps(t, "AddBatch", jumps, refJumps)
-					sameJumps(t, "AddBatch/Jumps()", mon.Jumps(), refJumps)
+					sameJumps(t, "AddColumns", jumps, refJumps)
+					sameJumps(t, "AddColumns/Jumps()", mon.Jumps(), refJumps)
 					if mon.Phase() != ref.Phase() {
-						t.Fatalf("AddBatch(%d) phase %v, want %v", bs, mon.Phase(), ref.Phase())
+						t.Fatalf("AddColumns(%d) phase %v, want %v", bs, mon.Phase(), ref.Phase())
 					}
 					if !bytes.Equal(saveBytes(t, mon), refBlob) {
-						t.Fatalf("AddBatch(%d) state serialized differently from Add path", bs)
+						t.Fatalf("AddColumns(%d) state serialized differently from Add path", bs)
 					}
 				}
 
@@ -175,15 +175,15 @@ func TestDualMonitorBatchParity(t *testing.T) {
 		var jumps []DualJump
 		for i := 0; i < n; i += bs {
 			end := min(i+bs, n)
-			jumps = append(jumps, dual.AddBatch(pairs[i:end])...)
+			jumps = append(jumps, dual.AddColumns(free[i:end], swap[i:end])...)
 		}
 		want := ref.Jumps()
 		if len(jumps) != len(want) {
-			t.Fatalf("AddBatch(%d): %d jumps, want %d", bs, len(jumps), len(want))
+			t.Fatalf("AddColumns(%d): %d jumps, want %d", bs, len(jumps), len(want))
 		}
 		for i := range jumps {
 			if jumps[i] != want[i] {
-				t.Fatalf("AddBatch(%d): jump %d = %+v, want %+v", bs, i, jumps[i], want[i])
+				t.Fatalf("AddColumns(%d): jump %d = %+v, want %+v", bs, i, jumps[i], want[i])
 			}
 		}
 		blob, err := dual.SaveState()
@@ -191,7 +191,7 @@ func TestDualMonitorBatchParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(blob, refBlob) {
-			t.Fatalf("AddBatch(%d) dual state serialized differently from Add path", bs)
+			t.Fatalf("AddColumns(%d) dual state serialized differently from Add path", bs)
 		}
 	}
 }

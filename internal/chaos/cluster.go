@@ -310,6 +310,9 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 						srcs = srcs[:4]
 					}
 					for _, st := range srcs {
+						// Churn, not a check: a source that moved on
+						// since the listing (cluster.ErrNotHeld) is
+						// skipped, and a failed handoff rolls back.
 						_ = n.Migrate(ctx, st.ID, target.Name())
 					}
 				}
@@ -379,7 +382,9 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 			}
 			n := 0
 			for _, c := range chunks {
-				ref.AddBatch(traces[i][cuts[c]:cuts[c+1]])
+				for _, p := range traces[i][cuts[c]:cuts[c+1]] {
+					ref.Add(p[0], p[1])
+				}
 				n += cuts[c+1] - cuts[c]
 			}
 			want, err := ref.SaveState()

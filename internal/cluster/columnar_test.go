@@ -3,6 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 
@@ -146,4 +149,68 @@ func TestIngestColumnsMigrateParityUnderLoad(t *testing.T) {
 	if st.Samples != total {
 		t.Fatalf("sample count %d, want %d", st.Samples, total)
 	}
+}
+
+// TestMigrateBetweenAcceptAndFirstShardPass migrates a source whose
+// only unit is accepted but still queued behind a backlog on its shard.
+// The source is visible from acceptance on, so the migration moves it —
+// with the queued unit folded in — instead of returning without moving
+// anything; a source the node never saw is ErrNotHeld.
+func TestMigrateBetweenAcceptAndFirstShardPass(t *testing.T) {
+	nodes, _, _ := testCluster(t, 2, 0)
+	a, b := nodes[0], nodes[1]
+	id := pickOwnedBy(t, a.Ring(), a.Name())
+	// A backlog source on the same shard keeps that shard busy.
+	backlog := ""
+	for i := 0; backlog == ""; i++ {
+		cand := fmt.Sprintf("backlog-%d", i)
+		if a.Ring().Owner(cand) == a.Name() && shardOf(cand, 2) == shardOf(id, 2) {
+			backlog = cand
+		}
+	}
+	load := makeTraces(5, 1, 512)[0]
+	for i := 0; i < 48; i++ {
+		if err := a.IngestColumns(colBatch(backlog, load)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unit := makeTraces(6, 1, 16)[0]
+	if err := a.IngestColumns(colBatch(id, unit)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Migrate(context.Background(), id, b.Name()); err != nil {
+		t.Fatalf("migrate between accept and first shard pass: %v", err)
+	}
+	drain(t, a, b)
+	if a.Holds(id) || !b.Holds(id) {
+		t.Fatalf("ownership after migrate: a=%v b=%v, want false/true", a.Holds(id), b.Holds(id))
+	}
+	got, err := b.Registry().MonitorState(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := aging.NewDualMonitor(selfTestMonitorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range unit {
+		oracle.Add(p[0], p[1])
+	}
+	want, err := oracle.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("migrated state lost the queued unit")
+	}
+	if err := a.Migrate(context.Background(), "never-seen", b.Name()); !errors.Is(err, ErrNotHeld) {
+		t.Fatalf("migrate of an unknown source: err = %v, want ErrNotHeld", err)
+	}
+}
+
+// shardOf mirrors the registry's FNV-1a shard hash.
+func shardOf(id string, shards int) int {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(id))
+	return int(h.Sum64() % uint64(shards))
 }

@@ -27,6 +27,10 @@ var (
 	// empty or every candidate owner was unreachable within the hop and
 	// retry budgets.
 	ErrNoOwner = errors.New("cluster: no reachable owner")
+	// ErrNotHeld reports a Migrate that moved nothing: this node does not
+	// hold the source, or a migration of it is already in flight.
+	// Rebalancing treats it as a skip.
+	ErrNotHeld = errors.New("cluster: source not held here")
 )
 
 // Config parameterizes a Node.
@@ -597,19 +601,21 @@ func (n *Node) HandleHandoff(envelope []byte) error {
 // Migrate hands source id to target via acquire/ack/release. While the
 // handoff is in flight, lines for the source block at this node; on ack
 // they unblock toward the target, and on failure the monitor re-attaches
-// here (rollback) so the source never goes unowned.
+// here (rollback) so the source never goes unowned. It returns
+// ErrNotHeld, having moved nothing, when this node does not hold the
+// source or is already migrating it.
 func (n *Node) Migrate(ctx context.Context, id, target string) error {
 	if target == n.cfg.Self || target == "" {
-		return nil
+		return fmt.Errorf("cluster: migrate %q: invalid target %q", id, target)
 	}
 	n.mu.Lock()
 	if _, inFlight := n.migrating[id]; inFlight {
 		n.mu.Unlock()
-		return nil
+		return fmt.Errorf("%w: %q: migration already in flight", ErrNotHeld, id)
 	}
 	if _, held := n.reg.Source(id); !held {
 		n.mu.Unlock()
-		return nil
+		return fmt.Errorf("%w: %q", ErrNotHeld, id)
 	}
 	mig := &migration{target: target, done: make(chan struct{})}
 	n.migrating[id] = mig
@@ -630,7 +636,7 @@ func (n *Node) Migrate(ctx context.Context, id, target string) error {
 	if err != nil {
 		release()
 		if errors.Is(err, ingest.ErrUnknownSource) {
-			return nil
+			return fmt.Errorf("%w: %q", ErrNotHeld, id)
 		}
 		return err
 	}
@@ -722,7 +728,9 @@ func (n *Node) migrateMisplaced(ctx context.Context, ring *Ring) error {
 			break
 		}
 		if owner := ring.Owner(st.ID); owner != n.cfg.Self && owner != "" {
-			if err := n.Migrate(ctx, st.ID, owner); err != nil {
+			// A source that left between the listing and the call is a
+			// skip, not a failure.
+			if err := n.Migrate(ctx, st.ID, owner); err != nil && !errors.Is(err, ErrNotHeld) {
 				errs = append(errs, err)
 			}
 		}

@@ -354,11 +354,10 @@ func RunSelfTest(cfg SelfTestConfig) (SelfTestResult, error) {
 		if err != nil {
 			return res, err
 		}
-		// The oracle consumes the trace in the same three batches the
-		// cluster did; batching does not change verdicts, but matching it
-		// exactly keeps the comparison airtight.
-		for c := 0; c < 3; c++ {
-			oracle.AddBatch(traces[i][cuts[c]:cuts[c+1]])
+		// The oracle consumes the trace one sample at a time: the
+		// per-sample path the cluster's columnar batches must equal.
+		for _, p := range traces[i][:cuts[3]] {
+			oracle.Add(p[0], p[1])
 		}
 		want, err := oracle.SaveState()
 		if err != nil {

@@ -230,6 +230,10 @@ func (a *Adaptive) LastStats() (freeStat, swapStat float64) {
 	return a.free.mon.LastStat(), a.swap.mon.LastStat()
 }
 
+// Monitors exposes the inner per-counter Hölder pipelines (offline
+// analysis and tests).
+func (a *Adaptive) Monitors() (free, swap *aging.Monitor) { return a.free.mon, a.swap.mon }
+
 // Instrument implements Detector (nil-safe). The inner monitors share the
 // aging package's metric families; set-level counters cover the rest.
 func (a *Adaptive) Instrument(reg *obs.Registry) {}

@@ -60,7 +60,7 @@ func addColumnsChunked(s *MonitorSet, pairs [][2]float64, chunk int) []Event {
 }
 
 // TestSetAddColumnsParity requires MonitorSet.AddColumns to reproduce
-// AddBatch exactly — same events in the same order, same per-detector
+// per-sample Add exactly — same events in the same order, same per-detector
 // SaveState bytes — for every detector mix and chunking.
 func TestSetAddColumnsParity(t *testing.T) {
 	pairs := columnarPairs(1, 3000)
@@ -69,7 +69,7 @@ func TestSetAddColumnsParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ref.AddBatch(pairs)
+		want := addPairs(ref, pairs)
 		if len(want) == 0 {
 			t.Fatalf("kinds=%v: reference fired no events; trace too tame", kinds)
 		}
@@ -91,7 +91,7 @@ func TestSetAddColumnsParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(gotState, refState) {
-				t.Fatalf("kinds=%v chunk=%d: SaveState diverged from AddBatch", kinds, chunk)
+				t.Fatalf("kinds=%v chunk=%d: SaveState diverged from per-sample Add", kinds, chunk)
 			}
 		}
 	}
@@ -107,7 +107,7 @@ func TestSetAddColumnsMergesDetectorOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ref.AddBatch(pairs)
+	want := addPairs(ref, pairs)
 	set, err := New([]string{KindHolder, KindAdaptive}, testConfig())
 	if err != nil {
 		t.Fatal(err)

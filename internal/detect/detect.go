@@ -135,12 +135,15 @@ type Detector interface {
 
 // ColumnPusher is the batch-first capability of a Detector: consume one
 // whole column per counter (free[i] and swap[i] are sample pair i) in a
-// single call, without per-sample interface dispatch. Implementations
-// must be state- and event-equivalent to pushing the pairs one at a
-// time with a nil *aging.StageNanos — the columnar parity tests assert
-// byte-identical SaveState blobs — and events must be reported in
-// per-sample arrival order. The traced (non-nil tm) path deliberately
-// stays per-sample: stage timing is a per-sample annotation.
+// single call, without per-sample interface dispatch. MonitorSet.AddColumns
+// — the ingest registry's path for every unit, down to length-1 columns
+// from single text lines — uses it where a detector provides it.
+// Implementations must be state- and event-equivalent to pushing the
+// pairs one at a time with a nil *aging.StageNanos — the columnar
+// parity tests assert byte-identical SaveState blobs — and events must
+// be reported in per-sample arrival order. The traced (non-nil tm) and
+// flight-recorded paths deliberately stay per-sample: stage timing and
+// recorder records are per-sample annotations.
 type ColumnPusher interface {
 	// PushColumns consumes len(free) == len(swap) sample pairs and
 	// returns the verdict after the last pair, with every event fired
@@ -180,6 +183,7 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Adaptive == (AdaptiveConfig{}) {
 		c.Adaptive = DefaultAdaptiveConfig()
+		c.Adaptive.Monitor = aging.Config{}
 	}
 	if c.Adaptive.Monitor == (aging.Config{}) {
 		c.Adaptive.Monitor = c.Monitor

@@ -65,7 +65,8 @@ func (s *MonitorSet) Lookup(kind string) Detector {
 }
 
 // Add consumes one sample pair through every detector and returns the
-// events fired, in detector order (nil on the steady-state path).
+// events fired, in detector order (nil on the steady-state path). It is
+// the per-sample oracle the columnar path is tested against.
 func (s *MonitorSet) Add(free, swap float64) []Event {
 	return s.AddTraced(free, swap, nil)
 }
@@ -85,26 +86,15 @@ func (s *MonitorSet) AddTraced(free, swap float64, tm *aging.StageNanos) []Event
 	return events
 }
 
-// AddBatch consumes a slice of counter-sample pairs (pair[0] = free
-// memory, pair[1] = used swap) and returns the events fired while
-// consuming it, in order. Equivalent to calling Add per pair.
-func (s *MonitorSet) AddBatch(pairs [][2]float64) []Event {
-	var events []Event
-	for _, p := range pairs {
-		events = append(events, s.AddTraced(p[0], p[1], nil)...)
-	}
-	return events
-}
-
 // AddColumns consumes one column per counter (free[i] and swap[i] are
 // sample pair i) through each detector's batch-first kernel, falling
-// back to the per-sample loop for detectors without one. It is the
-// binary wire path's entry point: one call per frame, no per-sample
-// Sample construction or interface dispatch. State and returned events
-// are identical to AddBatch over the same pairs — each detector's
+// back to the per-sample loop for detectors without one. It is how the
+// ingest registry folds a unit of shard work: one call per unit, no
+// per-sample Sample construction or interface dispatch. State and
+// returned events are identical to Add per pair — each detector's
 // events arrive in per-sample order, and the per-detector lists are
-// merged back into the per-sample, detector-configuration order the
-// row path emits (asserted by the columnar parity tests).
+// merged back into the per-sample, detector-configuration order Add
+// emits (asserted by the columnar parity tests).
 func (s *MonitorSet) AddColumns(free, swap []float64) []Event {
 	if len(s.dets) == 1 {
 		if cp, ok := s.dets[0].(ColumnPusher); ok {
@@ -130,8 +120,8 @@ func (s *MonitorSet) AddColumns(free, swap []float64) []Event {
 		return nil
 	}
 	// Merge on (sample index, detector rank): every detector's list is
-	// non-decreasing in Event.Sample, and within one sample the row path
-	// emits detectors in configured order.
+	// non-decreasing in Event.Sample, and within one sample Add emits
+	// detectors in configured order.
 	events := make([]Event, 0, total)
 	heads := make([]int, len(lists))
 	for len(events) < total {

@@ -385,7 +385,10 @@ func FuzzBinaryFrame(f *testing.F) {
 			t.Fatal(err)
 		}
 		evCols := viaCols.AddColumns(cb.Free, cb.Swap)
-		evText := viaText.AddBatch(parsed.Pairs)
+		var evText []detect.Event
+		for _, p := range parsed.Pairs {
+			evText = append(evText, viaText.Add(p[0], p[1])...)
+		}
 		if len(evCols) != len(evText) {
 			t.Fatalf("verdicts diverged: %d columnar vs %d text events", len(evCols), len(evText))
 		}

@@ -31,8 +31,8 @@ func NewLineSource(r io.Reader) *transport.LineSource {
 }
 
 // RegistrySink feeds transport items into a sharded fleet registry —
-// the ingestion Sink. Items keep their own source identity; pairs from
-// an item run through the batch path (one shard handoff per item).
+// the ingestion Sink. Items keep their own source identity; each item
+// is one unit of shard work (one shard handoff per item).
 type RegistrySink struct {
 	// Reg is the destination registry.
 	Reg *Registry
@@ -48,9 +48,6 @@ func (s *RegistrySink) Write(it transport.Item) error {
 	id := it.Source
 	if id == "" {
 		id = s.Default
-	}
-	if len(it.Pairs) == 1 {
-		return s.Reg.Ingest(Sample{Source: id, Free: it.Pairs[0][0], Swap: it.Pairs[0][1]})
 	}
 	return s.Reg.IngestBatch(Batch{Source: id, Pairs: it.Pairs})
 }

@@ -32,7 +32,7 @@ func (r *Registry) DetachSource(id string) ([]byte, []trace.Record, error) {
 		err  error
 	)
 	werr := r.withShard(r.shards[r.shardIndex(id)], func(sh *shard) {
-		src, ok := sh.sources[id]
+		src, ok := sh.held(id)
 		if !ok {
 			err = fmt.Errorf("%w: %q", ErrUnknownSource, id)
 			return
@@ -65,7 +65,8 @@ func (r *Registry) DetachSource(id string) ([]byte, []trace.Record, error) {
 // attach are byte-for-byte what the origin would have produced. recs
 // seeds the source's flight recorder with the tail that travelled in the
 // envelope. Fails with ErrSourceExists when the source is already live
-// here (the caller lost a benign creation race) and respects
+// here — including one reserved by an accepted unit its shard has not
+// handled yet (the caller lost a benign creation race) — and respects
 // Config.MaxSources.
 func (r *Registry) AttachSource(id string, state []byte, recs []trace.Record) error {
 	if err := validSource(id); err != nil {
@@ -88,7 +89,7 @@ func (r *Registry) AttachSource(id string, state []byte, recs []trace.Record) er
 		attached int64
 	)
 	werr := r.withShard(r.shards[r.shardIndex(id)], func(sh *shard) {
-		if _, exists := sh.sources[id]; exists {
+		if _, exists := sh.held(id); exists {
 			aerr = fmt.Errorf("%w: %q", ErrSourceExists, id)
 			return
 		}
@@ -96,16 +97,16 @@ func (r *Registry) AttachSource(id string, state []byte, recs []trace.Record) er
 			aerr = fmt.Errorf("ingest: attach %q: source cap %d reached", id, r.cfg.MaxSources)
 			return
 		}
-		// Read the restored monitor only inside the shard callback: the
-		// moment attachSource publishes it, the shard goroutine may fold
-		// new samples into it.
-		src := r.attachSource(sh, id, mon)
+		// Read the restored monitor inside the shard callback: once it is
+		// registered, the shard folds every unit enqueued for it.
+		src := r.newSource(id, mon)
 		attached = int64(mon.SamplesSeen())
-		src.samples.Store(attached)
-		src.jumps.Store(int64(mon.Jumps()))
-		if src.fr != nil && len(recs) > 0 {
-			src.fr.Append(recs)
+		src.fr.Append(recs)
+		if _, ok := r.register(src); !ok {
+			aerr = fmt.Errorf("%w: %q", ErrSourceExists, id)
+			return
 		}
+		sh.sources[id] = src
 	})
 	if werr != nil {
 		return werr

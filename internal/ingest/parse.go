@@ -6,6 +6,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // ErrBadLine reports a wire line that does not parse as a sample.
@@ -69,26 +71,34 @@ func ParseLine(line string) (Sample, error) {
 		return s, fmt.Errorf("%w: source field without counters", ErrBadLine)
 	}
 
-	if strings.ContainsRune(rest, ',') {
+	if free, swap, ok := strings.Cut(rest, ","); ok {
 		// Comma form: exactly "free,swap" (spaces around the comma are
 		// tolerated, matching the original stdin parser).
-		parts := strings.Split(rest, ",")
-		if len(parts) != 2 {
-			return s, fmt.Errorf(`%w: want "free,swap", got %d fields`, ErrBadLine, len(parts))
+		if strings.Contains(swap, ",") {
+			return s, fmt.Errorf(`%w: want "free,swap", got %d fields`, ErrBadLine, strings.Count(rest, ",")+1)
 		}
 		var err error
-		if s.Free, err = parseFinite("free", parts[0]); err != nil {
+		if s.Free, err = parseFinite("free", free); err != nil {
 			return s, err
 		}
-		if s.Swap, err = parseFinite("swap", parts[1]); err != nil {
+		if s.Swap, err = parseFinite("swap", swap); err != nil {
 			return s, err
 		}
 		return s, nil
 	}
 
-	fields := strings.Fields(rest)
+	// Whitespace form: two or three fields, split without allocating.
+	var fields [3]string
+	n := 0
+	for f := rest; f != ""; n++ {
+		var field string
+		field, f = nextField(f)
+		if n < len(fields) {
+			fields[n] = field
+		}
+	}
 	var err error
-	switch len(fields) {
+	switch n {
 	case 2:
 		if s.Free, err = parseFinite("free", fields[0]); err != nil {
 			return s, err
@@ -108,9 +118,30 @@ func ParseLine(line string) (Sample, error) {
 			return s, err
 		}
 	default:
-		return s, fmt.Errorf("%w: want 2 or 3 fields, got %d", ErrBadLine, len(fields))
+		return s, fmt.Errorf("%w: want 2 or 3 fields, got %d", ErrBadLine, n)
 	}
 	return s, nil
+}
+
+// nextField returns the first whitespace-separated field of s (which
+// starts with a non-space character, as ParseLine's trimmed remainder
+// does) and the remainder after the whitespace that follows it. Spaces
+// are those of strings.Fields (unicode.IsSpace), with an ASCII fast path.
+func nextField(s string) (field, rest string) {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			j := strings.IndexFunc(s, unicode.IsSpace)
+			if j < 0 {
+				return s, ""
+			}
+			return s[:j], strings.TrimLeftFunc(s[j:], unicode.IsSpace)
+		}
+		if asciiSpace(c) {
+			return s[:i], strings.TrimLeftFunc(s[i:], unicode.IsSpace)
+		}
+	}
+	return s, ""
 }
 
 // FormatLine renders a sample in the canonical wire form, the inverse of

@@ -114,7 +114,10 @@ type Config struct {
 	TraceSpanCapacity int
 	// FlightRecorderDepth retains the last N annotated samples per source
 	// (value, score, phase, verdict, stage timings) for post-hoc
-	// inspection via /api/trace/{source}. 0 disables.
+	// inspection via /api/trace/{source}. 0 disables. Only the last N
+	// samples of an untraced unit are annotated one at a time — the rest
+	// fold through the columnar kernel, and the ring keeps the same
+	// records either way; a traced unit is annotated whole.
 	FlightRecorderDepth int
 }
 
@@ -150,15 +153,14 @@ func (c Config) DetectorConfig() detect.Config {
 	return dc
 }
 
-// shardMsg is one unit of shard work: a sample, a batch of samples for
-// one source, a columnar batch from the binary wire, or a control
-// closure to run on the shard goroutine (state snapshots use this to
-// serialize with the sample stream instead of locking the monitors).
+// shardMsg is one message of a shard queue: a unit of work — a pooled
+// columnar batch of one source's samples, whatever wire or entry point
+// it came from — or a control closure to run on the shard goroutine
+// (state snapshots use this to serialize with the sample stream instead
+// of locking the monitors).
 type shardMsg struct {
-	s     Sample
-	batch *Batch
-	cols  *transport.ColumnarBatch
-	ctl   *ctlMsg
+	cols *transport.ColumnarBatch
+	ctl  *ctlMsg
 
 	// seq is the tracer sequence of a sampled unit (0 = untraced) and
 	// enq its enqueue time (UnixNano), so the shard can measure the
@@ -189,12 +191,9 @@ type shard struct {
 	depthGauge *obs.Gauge
 
 	// Scratch reused by the annotated (traced / flight-recorded) path;
-	// owned by the shard goroutine. pairs bridges columnar batches onto
-	// the row-oriented observe path.
-	pair1 [1][2]float64
-	pairs [][2]float64
-	recs  []trace.Record
-	tm    aging.StageNanos
+	// owned by the shard goroutine.
+	recs []trace.Record
+	tm   aging.StageNanos
 }
 
 // source is one monitored machine. The detector set and lastPhase are
@@ -370,10 +369,8 @@ func NewRegistry(cfg Config) (*Registry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ingest: restore %q: %w", id, err)
 		}
-		sh := r.shards[r.shardIndex(id)]
-		src := r.attachSource(sh, id, set)
-		src.samples.Store(int64(set.SamplesSeen()))
-		src.jumps.Store(int64(set.Jumps()))
+		src, _ := r.register(r.newSource(id, set))
+		r.shards[src.shardID].sources[id] = src
 	}
 	for _, sh := range r.shards {
 		r.wg.Add(1)
@@ -395,112 +392,46 @@ func (r *Registry) shardIndex(id string) int {
 	return int(h.Sum64() % uint64(len(r.shards)))
 }
 
-// Ingest routes one sample to its source's shard. In the default mode a
-// full shard queue blocks (backpressure); with DropWhenFull it returns
-// ErrQueueFull and counts the drop. After Close it returns ErrClosed.
+// Ingest routes one sample to its source's shard: a length-1 unit of
+// work. In the default mode a full shard queue blocks (backpressure);
+// with DropWhenFull it returns ErrQueueFull and counts the drop. After
+// Close it returns ErrClosed.
 func (r *Registry) Ingest(s Sample) error {
-	return r.ingest(s, r.tr.Sample())
-}
-
-// ingest is Ingest with the unit's tracer sequence already drawn (0 =
-// untraced) — IngestLine draws it earlier so the parse stage is covered by
-// the same sampled unit.
-func (r *Registry) ingest(s Sample, seq uint64) error {
-	if s.Source == "" {
-		return ErrNoSource
-	}
-	if math.IsNaN(s.Free) || math.IsInf(s.Free, 0) || math.IsNaN(s.Swap) || math.IsInf(s.Swap, 0) {
-		return ErrBadSample
-	}
-	// Sender registration is an atomic counter, not a WaitGroup: a
-	// WaitGroup Add racing a parked Wait is a documented misuse panic,
-	// and Ingest legitimately races Close. The order — increment, then
-	// check the closing flag — pairs with Close's order — set the flag,
-	// then poll the counter — so either this sender sees the flag and
-	// backs out, or Close sees the sender and waits for it.
-	r.senders.Add(1)
-	defer r.senders.Add(-1)
-	if r.closing.Load() {
-		r.drop("shutdown")
-		return ErrClosed
-	}
-	sh := r.shards[r.shardIndex(s.Source)]
-	msg := shardMsg{s: s}
-	if seq != 0 {
-		msg.seq, msg.enq = seq, time.Now().UnixNano()
-	}
-	if r.cfg.DropWhenFull {
-		select {
-		case sh.ch <- msg:
-		default:
-			r.drop("queue_full")
-			return ErrQueueFull
-		}
-	} else {
-		select {
-		case sh.ch <- msg:
-		case <-r.stopc:
-			r.drop("shutdown")
-			return ErrClosed
-		}
-	}
-	sh.depthGauge.Set(float64(sh.depth.Add(1)))
-	return nil
+	cb := transport.AcquireColumnarBatch()
+	cb.Source = s.Source
+	cb.Free = append(cb.Free, s.Free)
+	cb.Swap = append(cb.Swap, s.Swap)
+	return r.enqueue(cb, r.tr.Sample())
 }
 
 // IngestBatch routes a run of samples for one source to its shard as a
 // single unit: one queue slot and one channel send for the whole batch,
 // which is where the >= 2x samples/sec of batched ingestion comes from
-// (see BenchmarkIngestBatch). The monitor consumes the pairs in order,
+// (see BenchmarkIngestBatch). The detectors consume the pairs in order,
 // so verdicts are byte-for-byte identical to per-sample Ingest calls.
 // Queueing semantics match Ingest; an empty batch is a no-op.
 func (r *Registry) IngestBatch(b Batch) error {
-	return r.ingestBatch(b, r.tr.Sample())
+	return r.enqueue(appendPairs(transport.AcquireColumnarBatch(), b), r.tr.Sample())
 }
 
-// ingestBatch is IngestBatch with the batch's tracer sequence already
-// drawn (a batch is one traced unit, however many pairs it carries).
-func (r *Registry) ingestBatch(b Batch, seq uint64) error {
-	if b.Source == "" {
-		return ErrNoSource
-	}
-	if len(b.Pairs) == 0 {
-		return nil
-	}
-	for _, p := range b.Pairs {
-		if math.IsNaN(p[0]) || math.IsInf(p[0], 0) || math.IsNaN(p[1]) || math.IsInf(p[1], 0) {
-			return ErrBadSample
+// IngestColumns routes one columnar batch (the decoded form of a binary
+// wire frame) to its source's shard as a single unit. Ownership of cb
+// transfers to the registry on every call: the shard releases it back
+// to the pool after folding the columns into the detectors, and an
+// error return has already released it — the caller must not touch cb
+// afterwards either way. Queueing semantics match IngestBatch: a full
+// shard queue blocks the producer (or drops whole, counted, with
+// DropWhenFull) — a frame is never split.
+func (r *Registry) IngestColumns(cb *transport.ColumnarBatch) error {
+	// The binary wire supplies the source id raw; vet it like the text
+	// parser does before it can become a registry key.
+	if cb.Source != "" {
+		if err := validSource(cb.Source); err != nil {
+			cb.Release()
+			return err
 		}
 	}
-	// Same sender/closing protocol as Ingest; see the comment there.
-	r.senders.Add(1)
-	defer r.senders.Add(-1)
-	if r.closing.Load() {
-		r.dropN("shutdown", len(b.Pairs))
-		return ErrClosed
-	}
-	sh := r.shards[r.shardIndex(b.Source)]
-	msg := shardMsg{batch: &b}
-	if seq != 0 {
-		msg.seq, msg.enq = seq, time.Now().UnixNano()
-	}
-	if r.cfg.DropWhenFull {
-		select {
-		case sh.ch <- msg:
-		default:
-			r.dropN("queue_full", len(b.Pairs))
-			return ErrQueueFull
-		}
-	} else {
-		select {
-		case sh.ch <- msg:
-		case <-r.stopc:
-			r.dropN("shutdown", len(b.Pairs))
-			return ErrClosed
-		}
-	}
-	sh.depthGauge.Set(float64(sh.depth.Add(1)))
-	return nil
+	return r.enqueue(cb, r.tr.Sample())
 }
 
 // IngestLine parses one wire line — single-sample or batch;-framed — and
@@ -519,34 +450,117 @@ func (r *Registry) IngestLine(defaultSource, line string) error {
 	if seq != 0 {
 		parseStart = time.Now()
 	}
+	cb := transport.AcquireColumnarBatch()
 	if strings.HasPrefix(trimmed, BatchPrefix) {
 		b, err := ParseBatch(trimmed)
 		if err != nil {
-			r.badLines.Add(1)
-			r.met.badLines.Inc()
-			return err
+			return r.badLine(cb, err)
 		}
-		if b.Source == "" {
-			b.Source = defaultSource
+		appendPairs(cb, b)
+	} else {
+		s, err := ParseLine(trimmed)
+		if err != nil {
+			return r.badLine(cb, err)
 		}
-		if seq != 0 {
-			r.tr.Record(trace.StageParse, b.Source, r.shardIndex(b.Source), seq, parseStart, time.Since(parseStart))
-		}
-		return r.ingestBatch(b, seq)
+		cb.Source = s.Source
+		cb.Free = append(cb.Free, s.Free)
+		cb.Swap = append(cb.Swap, s.Swap)
 	}
-	s, err := ParseLine(trimmed)
-	if err != nil {
-		r.badLines.Add(1)
-		r.met.badLines.Inc()
-		return err
-	}
-	if s.Source == "" {
-		s.Source = defaultSource
+	if cb.Source == "" {
+		cb.Source = defaultSource
 	}
 	if seq != 0 {
-		r.tr.Record(trace.StageParse, s.Source, r.shardIndex(s.Source), seq, parseStart, time.Since(parseStart))
+		r.tr.Record(trace.StageParse, cb.Source, r.shardIndex(cb.Source), seq, parseStart, time.Since(parseStart))
 	}
-	return r.ingest(s, seq)
+	return r.enqueue(cb, seq)
+}
+
+// appendPairs fills cb with b's source and pairs, column by column.
+func appendPairs(cb *transport.ColumnarBatch, b Batch) *transport.ColumnarBatch {
+	cb.Source = b.Source
+	for _, p := range b.Pairs {
+		cb.Free = append(cb.Free, p[0])
+		cb.Swap = append(cb.Swap, p[1])
+	}
+	return cb
+}
+
+// badLine counts one malformed wire line and releases its batch.
+func (r *Registry) badLine(cb *transport.ColumnarBatch, err error) error {
+	cb.Release()
+	r.badLines.Add(1)
+	r.met.badLines.Inc()
+	return err
+}
+
+// enqueue hands one unit of work to its source's shard — the single
+// intake protocol every entry point shares. It vets the unit, registers
+// as a sender, reserves the source (so the source is visible to Source,
+// Holds and DetachSource from the moment its first unit is accepted,
+// not from its shard's first pass), and sends with backpressure or, in
+// DropWhenFull mode, drop-and-count. seq is the unit's tracer sequence
+// (0 = untraced). Ownership of cb passes to the shard on success; every
+// other path releases it here.
+func (r *Registry) enqueue(cb *transport.ColumnarBatch, seq uint64) error {
+	n := cb.Len()
+	if n == 0 {
+		cb.Release()
+		return nil
+	}
+	if err := vetUnit(cb); err != nil {
+		cb.Release()
+		return err
+	}
+	// Sender registration is an atomic counter, not a WaitGroup: a
+	// WaitGroup Add racing a parked Wait is a documented misuse panic,
+	// and enqueue legitimately races Close. The order — increment, then
+	// check the closing flag — pairs with Close's order — set the flag,
+	// then poll the counter — so either this sender sees the flag and
+	// backs out, or Close sees the sender and waits for it.
+	r.senders.Add(1)
+	defer r.senders.Add(-1)
+	if r.closing.Load() {
+		return r.dropUnit(cb, "shutdown", ErrClosed)
+	}
+	if src, reason := r.reserve(cb.Source); src == nil {
+		return r.dropUnit(cb, reason, nil)
+	}
+	sh := r.shards[r.shardIndex(cb.Source)]
+	msg := shardMsg{cols: cb}
+	if seq != 0 {
+		msg.seq, msg.enq = seq, time.Now().UnixNano()
+	}
+	if r.cfg.DropWhenFull {
+		select {
+		case sh.ch <- msg:
+		default:
+			return r.dropUnit(cb, "queue_full", ErrQueueFull)
+		}
+	} else {
+		select {
+		case sh.ch <- msg:
+		case <-r.stopc:
+			return r.dropUnit(cb, "shutdown", ErrClosed)
+		}
+	}
+	sh.depthGauge.Set(float64(sh.depth.Add(1)))
+	return nil
+}
+
+// vetUnit rejects a unit without a source id or with a non-finite
+// sample.
+func vetUnit(cb *transport.ColumnarBatch) error {
+	if cb.Source == "" {
+		return ErrNoSource
+	}
+	// x-x is 0 exactly when x is finite (NaN and ±Inf both yield NaN,
+	// and NaN != 0), so one fused check rejects every non-finite value.
+	for i, f := range cb.Free {
+		if d := f - f + cb.Swap[i] - cb.Swap[i]; d != 0 {
+			return ErrBadSample
+		}
+	}
+	return nil
 }
 
 // trimLine strips whitespace and filters comment/blank lines.
@@ -558,17 +572,19 @@ func trimLine(line string) string {
 	return t
 }
 
-// drop counts one dropped sample by reason.
-func (r *Registry) drop(reason string) {
-	r.dropped.Add(1)
-	r.met.dropped.With(reason).Inc()
-}
-
 // dropN counts n dropped samples by reason (a rejected batch drops every
 // sample it carried).
 func (r *Registry) dropN(reason string, n int) {
 	r.dropped.Add(uint64(n))
 	r.met.dropped.With(reason).Add(uint64(n))
+}
+
+// dropUnit counts every sample of a unit as dropped by reason, releases
+// the unit and returns err.
+func (r *Registry) dropUnit(cb *transport.ColumnarBatch, reason string, err error) error {
+	r.dropN(reason, cb.Len())
+	cb.Release()
+	return err
 }
 
 // Accepted returns the number of samples consumed by monitors.
@@ -668,7 +684,7 @@ func (r *Registry) MonitorState(id string) ([]byte, error) {
 		err  error
 	)
 	werr := r.withShard(r.shards[r.shardIndex(id)], func(sh *shard) {
-		src, ok := sh.sources[id]
+		src, ok := sh.held(id)
 		if !ok {
 			err = fmt.Errorf("%w: %q", ErrUnknownSource, id)
 			return
@@ -780,23 +796,28 @@ func (r *Registry) Close() error {
 	}
 	r.wg.Wait() // shards drain their queues, then exit
 	r.drained.Store(true)
+	r.byID.Range(func(_, v any) bool {
+		v.(*source).wd.Stop()
+		return true
+	})
 	r.bus.Close()
 	return nil
 }
 
-// attachSource registers a new source object on both the shard-owned map
-// side (caller's duty) and the read-side index. The detector set must be
-// fresh or restored; phase and per-detector mirrors are initialized from
-// it.
-func (r *Registry) attachSource(sh *shard, id string, set *detect.MonitorSet) *source {
+// newSource builds the source object of a fresh or restored detector
+// set; phase and per-detector mirrors are initialized from the set.
+// Nothing refers to it until register publishes it.
+func (r *Registry) newSource(id string, set *detect.MonitorSet) *source {
 	src := &source{
 		id:        id,
-		shardID:   sh.id,
+		shardID:   r.shardIndex(id),
 		mon:       set,
 		fr:        trace.NewFlightRecorder(r.cfg.FlightRecorderDepth),
 		lastPhase: set.Phase(),
 	}
 	src.phase.Store(int32(set.Phase()))
+	src.samples.Store(int64(set.SamplesSeen()))
+	src.jumps.Store(int64(set.Jumps()))
 	src.dets = make([]*detectorMirror, len(set.Kinds()))
 	for i, ds := range set.Status() {
 		m := &detectorMirror{kind: ds.Kind}
@@ -811,10 +832,53 @@ func (r *Registry) attachSource(sh *shard, id string, set *detect.MonitorSet) *s
 			r.publishAlert(control.Stall(id, gap.Milliseconds()))
 		})
 	}
-	sh.sources[id] = src
-	r.byID.Store(id, src)
-	r.met.sources.Set(float64(r.nsources.Add(1)))
 	return src
+}
+
+// register publishes src in the read-side index unless its id is
+// already there. It returns the registered source and whether that is
+// src; a source that lost the race is discarded (its watchdog stopped).
+func (r *Registry) register(src *source) (*source, bool) {
+	if v, loaded := r.byID.LoadOrStore(src.id, src); loaded {
+		src.wd.Stop()
+		return v.(*source), false
+	}
+	r.met.sources.Set(float64(r.nsources.Add(1)))
+	return src, true
+}
+
+// reserve returns id's source, creating and registering a fresh one on
+// first contact. It runs on the producer side of enqueue, before the
+// send, so an accepted unit always belongs to a visible source; the
+// shard adopts the reserved object on its first pass (shard.held). A
+// nil return means the source cannot be created — the MaxSources cap
+// (warned once) or a detector construction failure — and reason names
+// the drop the caller counts the unit's samples against.
+func (r *Registry) reserve(id string) (src *source, reason string) {
+	if v, ok := r.byID.Load(id); ok {
+		return v.(*source), ""
+	}
+	if r.cfg.MaxSources > 0 && r.nsources.Load() >= int64(r.cfg.MaxSources) {
+		if r.maxSourcesWarned.CompareAndSwap(false, true) {
+			r.cfg.Events.Warn("ingest_max_sources", obs.Fields{
+				"limit": r.cfg.MaxSources, "source": id,
+			})
+		}
+		return nil, "max_sources"
+	}
+	set, err := detect.New(r.cfg.Detectors, r.cfg.DetectorConfig())
+	if err != nil {
+		// The config was validated at construction; this cannot happen
+		// short of a defect. Count, don't crash.
+		return nil, "monitor_error"
+	}
+	src, created := r.register(r.newSource(id, set))
+	if created {
+		r.cfg.Events.Info("ingest_source_created", obs.Fields{
+			"source": id, "shard": src.shardID,
+		})
+	}
+	return src, ""
 }
 
 // publishAlert counts and fans out one alert.
@@ -823,9 +887,9 @@ func (r *Registry) publishAlert(a Alert) {
 	r.bus.Publish(a)
 }
 
-// run is the shard goroutine: it consumes samples and control messages
-// until the channel closes (Close drains what is queued first), then
-// stops this shard's watchdogs.
+// run is the shard goroutine: it consumes units of work and control
+// messages until the channel closes (Close drains what is queued
+// first).
 func (sh *shard) run() {
 	defer sh.reg.wg.Done()
 	for msg := range sh.ch {
@@ -842,70 +906,60 @@ func (sh *shard) run() {
 		if msg.seq != 0 {
 			// The queue-wait span: enqueue time travels in the message so
 			// the wait is measured explicitly, not inferred from depth.
-			id := msg.s.Source
-			switch {
-			case msg.batch != nil:
-				id = msg.batch.Source
-			case msg.cols != nil:
-				id = msg.cols.Source
-			}
 			enq := time.Unix(0, msg.enq)
-			sh.reg.tr.Record(trace.StageQueue, id, sh.id, msg.seq, enq, time.Since(enq))
+			sh.reg.tr.Record(trace.StageQueue, msg.cols.Source, sh.id, msg.seq, enq, time.Since(enq))
 			sh.reg.tr.QueueDepth(sh.id, sh.depth.Load())
 		}
-		if msg.batch != nil {
-			sh.handleBatch(msg.batch, msg.seq)
-			continue
-		}
-		if msg.cols != nil {
-			sh.handleColumns(msg.cols, msg.seq)
-			continue
-		}
-		sh.handle(msg.s, msg.seq)
-	}
-	for _, src := range sh.sources {
-		src.wd.Stop()
+		sh.handle(msg.cols, msg.seq)
 	}
 }
 
-// resolve looks up (or lazily creates) the source object for id. Returns
-// nil when the sample(s) must be dropped, with n samples counted against
-// the drop reason.
-func (sh *shard) resolve(id string, n int) *source {
-	r := sh.reg
+// held returns the shard's source for id, adopting one that enqueue
+// reserved but whose first unit this shard has not handled yet.
+func (sh *shard) held(id string) (*source, bool) {
 	if src, ok := sh.sources[id]; ok {
+		return src, true
+	}
+	v, ok := sh.reg.byID.Load(id)
+	if !ok {
+		return nil, false
+	}
+	src := v.(*source)
+	sh.sources[id] = src
+	return src, true
+}
+
+// resolve returns the source a unit of n samples folds into: the held
+// one, or — when a detach raced the unit between its enqueue and this
+// pass — a fresh reservation. nil means the samples were dropped and
+// counted.
+func (sh *shard) resolve(id string, n int) *source {
+	if src, ok := sh.held(id); ok {
 		return src
 	}
-	if r.cfg.MaxSources > 0 && r.nsources.Load() >= int64(r.cfg.MaxSources) {
-		r.dropN("max_sources", n)
-		if r.maxSourcesWarned.CompareAndSwap(false, true) {
-			r.cfg.Events.Warn("ingest_max_sources", obs.Fields{
-				"limit": r.cfg.MaxSources, "source": id,
-			})
-		}
+	src, reason := sh.reg.reserve(id)
+	if src == nil {
+		sh.reg.dropN(reason, n)
 		return nil
 	}
-	set, err := detect.New(r.cfg.Detectors, r.cfg.DetectorConfig())
-	if err != nil {
-		// The config was validated at construction; this cannot
-		// happen short of a defect. Count, don't crash the shard.
-		r.dropN("monitor_error", n)
-		return nil
-	}
-	src := r.attachSource(sh, id, set)
-	r.cfg.Events.Info("ingest_source_created", obs.Fields{
-		"source": id, "shard": sh.id,
-	})
+	sh.sources[id] = src
 	return src
 }
 
-// handle feeds one sample into its source's detector set — the
-// single-writer hot path. No locks are taken: the set is goroutine-owned
-// and the status mirror is atomics. The untraced, unrecorded path is the
-// original direct Add; everything else goes through observe.
-func (sh *shard) handle(s Sample, seq uint64) {
+// handle folds one unit of work into its source's detector set — the
+// single-writer hot path — and returns the batch to the pool. No locks
+// are taken: the set is goroutine-owned and the status mirror is
+// atomics. An untraced unit runs through the columnar kernel
+// (MonitorSet.AddColumns), except for the tail whose annotated records
+// the flight recorder's ring can keep; a traced unit is annotated
+// whole, so its stage timing covers every sample. Either way the
+// verdicts and detector state are byte-for-byte those of per-sample
+// Add calls, and the ring ends holding the same records.
+func (sh *shard) handle(cb *transport.ColumnarBatch, seq uint64) {
+	defer cb.Release()
 	r := sh.reg
-	src := sh.resolve(s.Source, 1)
+	n := cb.Len()
+	src := sh.resolve(cb.Source, n)
 	if src == nil {
 		return
 	}
@@ -913,50 +967,27 @@ func (sh *shard) handle(s Sample, seq uint64) {
 	if r.cfg.Obs != nil || seq != 0 {
 		start = time.Now()
 	}
-	var events []detect.Event
-	if seq == 0 && src.fr == nil {
-		events = src.mon.Add(s.Free, s.Swap)
-	} else {
-		sh.pair1[0] = [2]float64{s.Free, s.Swap}
-		events = sh.observe(src, sh.pair1[:], seq)
-	}
-	sh.commit(src, events, s.Free, s.Swap, 1, start, seq)
-}
-
-// handleBatch feeds a whole batch into its source's detector set with one
-// map lookup and one bookkeeping pass; verdicts are identical to feeding
-// the pairs through handle one at a time.
-func (sh *shard) handleBatch(b *Batch, seq uint64) {
-	r := sh.reg
-	if len(b.Pairs) == 0 {
-		return
-	}
-	src := sh.resolve(b.Source, len(b.Pairs))
-	if src == nil {
-		return
-	}
-	var start time.Time
-	if r.cfg.Obs != nil || seq != 0 {
-		start = time.Now()
+	annotated := n
+	if seq == 0 {
+		annotated = min(n, src.fr.Depth())
 	}
 	var events []detect.Event
-	if seq == 0 && src.fr == nil {
-		events = src.mon.AddBatch(b.Pairs)
-	} else {
-		events = sh.observe(src, b.Pairs, seq)
+	if k := n - annotated; k > 0 {
+		events = src.mon.AddColumns(cb.Free[:k], cb.Swap[:k])
 	}
-	last := b.Pairs[len(b.Pairs)-1]
-	sh.commit(src, events, last[0], last[1], len(b.Pairs), start, seq)
+	if annotated > 0 {
+		events = append(events, sh.observe(src, cb.Free[n-annotated:], cb.Swap[n-annotated:], seq)...)
+	}
+	sh.commit(src, events, cb.Free[n-1], cb.Swap[n-1], n, start, seq)
 }
 
-// observe is the annotated detection path, taken when the unit is traced
-// or the source has a flight recorder. It feeds the pairs one at a time —
-// verdict-identical to AddBatch — so each sample's value, score, phase and
-// jump verdict can be captured, accumulates per-stage stream timings for
-// traced units, and appends the annotated tail to the flight recorder in
-// one lock. Scratch lives on the shard, so the steady state allocates only
-// when a jump actually fires.
-func (sh *shard) observe(src *source, pairs [][2]float64, seq uint64) []detect.Event {
+// observe is the annotated detection path: it feeds the pairs one at a
+// time — verdict-identical to AddColumns — so each sample's value,
+// score, phase and jump verdict can be captured, accumulates per-stage
+// stream timings for traced units, and appends the annotated run to the
+// flight recorder in one lock. Scratch lives on the shard, so the
+// steady state allocates only when a jump actually fires.
+func (sh *shard) observe(src *source, free, swap []float64, seq uint64) []detect.Event {
 	r := sh.reg
 	var tm *aging.StageNanos
 	if seq != 0 {
@@ -970,8 +1001,8 @@ func (sh *shard) observe(src *source, pairs [][2]float64, seq uint64) []detect.E
 	recs := sh.recs[:0]
 	var all []detect.Event
 	wall := time.Now().UnixNano()
-	for _, p := range pairs {
-		js := src.mon.AddTraced(p[0], p[1], tm)
+	for i, f := range free {
+		js := src.mon.AddTraced(f, swap[i], tm)
 		all = append(all, js...)
 		if src.fr != nil {
 			scoreFree, scoreSwap := src.mon.LastStats()
@@ -984,8 +1015,8 @@ func (sh *shard) observe(src *source, pairs [][2]float64, seq uint64) []detect.E
 			recs = append(recs, trace.Record{
 				Seq:       uint64(src.mon.SamplesSeen()),
 				Wall:      wall,
-				Free:      p[0],
-				Swap:      p[1],
+				Free:      f,
+				Swap:      swap[i],
 				ScoreFree: scoreFree,
 				ScoreSwap: scoreSwap,
 				Phase:     src.mon.Phase().String(),
@@ -1015,12 +1046,12 @@ func (sh *shard) observe(src *source, pairs [][2]float64, seq uint64) []detect.E
 	if len(recs) > 0 {
 		src.fr.Append(recs)
 	}
-	sh.recs = recs[:0] // keep grown capacity for the next batch
+	sh.recs = recs[:0] // keep grown capacity for the next unit
 	return all
 }
 
-// commit publishes the post-Add bookkeeping shared by the single-sample
-// and batch paths: status mirrors, counters, watchdog, and alerts for n
+// commit publishes the post-detection bookkeeping of one unit: status
+// mirrors, counters, watchdog, and alerts for n
 // newly ingested samples whose most recent pair is (free, swap). Every
 // event carries its emitting detector's label into the alert stream, so
 // two detectors firing on one tick yield two distinguishable alerts.

@@ -70,7 +70,7 @@ type BinarySelfTestReport struct {
 	// ParityMismatches lists sources whose daemon-side detector state
 	// differs from a single-process per-sample reference fed the same
 	// trace ("id" or "id/detector") — the end-to-end assertion that the
-	// columnar kernels are verdict-identical to the row path.
+	// columnar kernels are verdict-identical to the per-sample path.
 	ParityMismatches []string
 	// Alerts is the fleet-wide alert count after the load.
 	Alerts uint64
@@ -119,9 +119,9 @@ func binarySelfTestPair(seed int64, s, i int) (free, swap float64) {
 // generator's.
 //
 // The server must be started with a TCP listener and must not be shut
-// down underneath the test. Per-sample observability (pipeline tracing,
-// flight recorders) forces batches onto the row-bridge path; run the
-// throughput self-test with both disabled.
+// down underneath the test. Pipeline tracing annotates a sampled frame
+// sample by sample, and a flight recorder each frame's recorded tail;
+// run the throughput self-test with both disabled.
 func RunBinarySelfTest(ctx context.Context, srv *Server, cfg BinarySelfTestConfig) (BinarySelfTestReport, error) {
 	if ctx == nil {
 		ctx = context.Background()

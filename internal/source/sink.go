@@ -45,10 +45,12 @@ type MonitorSink struct {
 	samples   int
 	lastPhase aging.Phase
 
-	// Scratch for the annotated (traced/recorded) Write path, reused
-	// across items so steady-state recording does not allocate.
-	tm   aging.StageNanos
-	recs []trace.Record
+	// Scratch reused across items so the steady state does not
+	// allocate: the item's pairs as columns, and the annotated
+	// (traced/recorded) Write path's timings and records.
+	free, swap []float64
+	tm         aging.StageNanos
+	recs       []trace.Record
 }
 
 // NewMonitorSink attaches a sink to mon (which may carry restored
@@ -82,7 +84,12 @@ func (s *MonitorSink) WriteSampled(it Item, seq uint64) error {
 	if seq != 0 || s.cfg.Recorder != nil {
 		jumps = s.observe(it.Pairs, seq)
 	} else {
-		jumps = s.mon.AddBatch(it.Pairs)
+		s.free, s.swap = s.free[:0], s.swap[:0]
+		for _, p := range it.Pairs {
+			s.free = append(s.free, p[0])
+			s.swap = append(s.swap, p[1])
+		}
+		jumps = s.mon.AddColumns(s.free, s.swap)
 	}
 	if len(jumps) > 0 && s.cfg.OnJumps != nil {
 		s.cfg.OnJumps(s.samples, jumps)
@@ -100,7 +107,7 @@ func (s *MonitorSink) WriteSampled(it Item, seq uint64) error {
 func (s *MonitorSink) Close() error { return nil }
 
 // observe is the annotated Write path: per-pair AddTraced (verdict-
-// identical to AddBatch), one flight record per pair, and — when this
+// identical to AddColumns), one flight record per pair, and — when this
 // item drew a tracer sequence — detect plus stream-stage spans. The
 // stream stages ran interleaved inside detect, so each accumulated total
 // is exported as one span ending at the detect boundary, matching the

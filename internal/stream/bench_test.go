@@ -9,7 +9,8 @@ import (
 // BenchmarkOscillationEstimatorPushColumns is the per-layer figure of the
 // columnar Hölder estimator: ns per raw sample through PushColumns, for
 // ladders of 3, 5 and 7 dyadic rungs at the daemon's relay (256) and
-// binary-frame (4096) sizes. The input is a seeded random walk with
+// binary-frame (4096) sizes, and at frames 1 and 8, below the
+// shortColumn cut-off, where the per-sample Push loop serves the column. The input is a seeded random walk with
 // Gaussian jitter — a noisy counter, never a ramp, so the memoized
 // regression recomputes at most centers instead of replaying one cached
 // slope.
@@ -26,7 +27,7 @@ func BenchmarkOscillationEstimatorPushColumns(b *testing.B) {
 		for i := range radii {
 			radii[i] = 2 << i
 		}
-		for _, frame := range []int{256, 4096} {
+		for _, frame := range []int{1, 8, 256, 4096} {
 			b.Run(fmt.Sprintf("rungs=%d/frame=%d", rungs, frame), func(b *testing.B) {
 				est, err := NewOscillationEstimator(radii)
 				if err != nil {

@@ -67,8 +67,10 @@ var parityLadders = [][]int{
 }
 
 // parityChunks are the PushColumns batch sizes of the parity tests; 0
-// stands for the whole trace in one batch.
-var parityChunks = []int{1, 3, 5, 17, 23, 64, 256, 4096, 0}
+// stands for the whole trace in one batch. shortColumn-1, shortColumn
+// and shortColumn+1 straddle the cut-off between the per-sample loop
+// and the cascade.
+var parityChunks = []int{1, 3, 5, shortColumn - 1, shortColumn, shortColumn + 1, 17, 23, 64, 256, 4096, 0}
 
 // pushAll runs xs through per-sample Push and returns the emitted alphas.
 func pushAll(t testing.TB, est *OscillationEstimator, xs []float64) []float64 {
@@ -91,32 +93,6 @@ func requireSameBits(t testing.TB, what string, have, want []float64) {
 	for i := range have {
 		if math.Float64bits(have[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: alpha[%d] = %v, want %v", what, i, have[i], want[i])
-		}
-	}
-}
-
-// TestPushRangeParity drives one tracker through push and pushRange in
-// every batch-split pattern and requires identical state.
-func TestPushRangeParity(t *testing.T) {
-	for name, xs := range columnarTraces() {
-		for _, r := range []int{1, 2, 8} {
-			ref := newSlidingExtrema(r)
-			for i, x := range xs {
-				ref.push(i, x)
-			}
-			for _, chunk := range []int{1, 3, 64, len(xs)} {
-				got := newSlidingExtrema(r)
-				for off := 0; off < len(xs); off += chunk {
-					end := off + chunk
-					if end > len(xs) {
-						end = len(xs)
-					}
-					got.pushRange(off, xs[off:end])
-				}
-				if !reflect.DeepEqual(got.state(), ref.state()) {
-					t.Fatalf("%s r=%d chunk=%d: pushRange state diverged from push", name, r, chunk)
-				}
-			}
 		}
 	}
 }
@@ -195,8 +171,8 @@ func TestPushColumnsInterleaved(t *testing.T) {
 
 // TestPushColumnsAfterRestore restores an estimator mid-stream — the raw
 // tail is not persisted, so it restarts empty — and continues with
-// batches small enough that several fall back to pushRange before the
-// tail refills to 2*Lag() and the cascade takes over, plus one batch
+// batches small enough that several take the per-sample Push loop before
+// the tail refills to 2*Lag() and the cascade takes over, plus one batch
 // that crosses the refill boundary by itself. Every alpha and the final
 // state must match the uninterrupted per-sample oracle.
 func TestPushColumnsAfterRestore(t *testing.T) {
@@ -205,7 +181,7 @@ func TestPushColumnsAfterRestore(t *testing.T) {
 		ref, _ := NewOscillationEstimator(radii)
 		want := pushAll(t, ref, xs)
 		for _, cut := range []int{0, 5, 70, 1000} {
-			for _, chunk := range []int{1, 7, 100, 4096} {
+			for _, chunk := range []int{1, 7, shortColumn, 100, 4096} {
 				pre, _ := NewOscillationEstimator(radii)
 				have := pre.PushColumns(xs[:cut], nil)
 				got, err := RestoreOscillationEstimator(pre.State())

@@ -5,6 +5,16 @@ import (
 	"math"
 )
 
+// shortColumn is the column length from which PushColumns runs the
+// extrema cascade; shorter columns take the per-sample Push loop. The
+// cascade's fixed cost per column (the raw view copy and the deque
+// rebuild over 2*Lag() samples) is what the cut-off amortizes: on the
+// default five-rung ladder BenchmarkOscillationEstimatorPushColumns
+// puts the crossover between 8 and 12 samples (2 vCPU Xeon, go1.24:
+// frame 8 ~450 ns/sample either way, frame 12 ~300 cascade against
+// ~400 per-sample), and a length-1 column costs what Push does.
+const shortColumn = 10
+
 // OscillationEstimator is the first pipeline stage: it consumes one raw
 // counter sample per Push and emits the pointwise Hölder exponent of the
 // stream, estimated by regressing log window oscillation on log radius
@@ -46,8 +56,8 @@ type OscillationEstimator struct {
 	// 2*maxR, with amortized copy-down) so PushColumns can run the
 	// extrema cascade over a contiguous view reaching back to the window
 	// of the first center the batch completes. Derived state: it is never
-	// persisted, and after a restore PushColumns falls back to
-	// sample-by-sample pushRange until the tail has refilled.
+	// persisted, and after a restore PushColumns falls back to the
+	// per-sample Push loop until the tail has refilled.
 	rawTail []float64
 	tailCap int
 
@@ -153,26 +163,27 @@ func (e *OscillationEstimator) Push(x float64) (float64, bool) {
 //     common case for real, quantized memory counters — skip the
 //     math.Log calls entirely.
 //
-// The cascade's scratch is pooled across estimators. Until the raw tail
-// holds 2*Lag() samples (or the whole stream) — only after a restore —
-// the trackers consume the column through the per-sample pushRange.
+// Two kinds of column take the per-sample Push loop instead: a column
+// shorter than shortColumn, and a column that arrives after a restore
+// before the raw tail holds 2*Lag() samples again, since the cascade
+// needs that history. The cascade's scratch is pooled across
+// estimators.
 func (e *OscillationEstimator) PushColumns(xs []float64, out []float64) []float64 {
-	if len(xs) == 0 {
+	tail := e.rawTail[max(0, len(e.rawTail)-e.tailCap):]
+	if len(xs) < shortColumn || (len(tail) < e.tailCap && e.seen > len(tail)) {
+		for _, x := range xs {
+			if a, ok := e.Push(x); ok {
+				out = append(out, a)
+			}
+		}
 		return out
 	}
 	idx0 := e.seen
-	tail := e.rawTail[max(0, len(e.rawTail)-e.tailCap):]
 	// Contiguous raw view [a0, idx0+len(xs)): retained tail + this batch.
 	a0 := idx0 - len(tail)
 	sc := cascadePool.Get().(*cascadeScratch)
 	a := append(append(sc.raw[:0], tail...), xs...)
-	if a0 == 0 || len(tail) == e.tailCap {
-		e.extremaCascade(a, a0, idx0, sc)
-	} else {
-		for _, tr := range e.trk {
-			tr.pushRange(idx0, xs)
-		}
-	}
+	e.extremaCascade(a, a0, idx0, sc)
 	e.rawTail = append(e.rawTail[:0], a[len(a)-min(len(a), e.tailCap):]...)
 	sc.raw = a[:0]
 	cascadePool.Put(sc)

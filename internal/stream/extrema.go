@@ -112,78 +112,6 @@ func (s *slidingExtrema) at(t int) float64 {
 	return s.osc[t-s.oscBase]
 }
 
-// pushRange consumes samples xs[0..] at consecutive indices starting at
-// idx0. It is the batch form of push: the deque cursors live in locals
-// for the whole run, so the per-sample loop compiles to straight-line
-// ring arithmetic with no method-call layering. The pops, evictions and
-// oscillation appends happen in exactly the order repeated push would
-// perform them, so the tracker state after pushRange is identical
-// (asserted by TestPushRangeParity).
-func (s *slidingExtrema) pushRange(idx0 int, xs []float64) {
-	maxBuf, minBuf := s.maxD.buf, s.minD.buf
-	mh, mn := s.maxD.head, s.maxD.n
-	nh, nn := s.minD.head, s.minD.n
-	ringCap := len(maxBuf) // == len(minBuf) == w+1
-	osc := s.osc
-	w := s.w
-	for i, x := range xs {
-		idx := idx0 + i
-		for mn > 0 {
-			bi := mh + mn - 1
-			if bi >= ringCap {
-				bi -= ringCap
-			}
-			if maxBuf[bi].v > x {
-				break
-			}
-			mn--
-		}
-		bi := mh + mn
-		if bi >= ringCap {
-			bi -= ringCap
-		}
-		maxBuf[bi] = idxVal{idx: idx, v: x}
-		mn++
-		for nn > 0 {
-			bj := nh + nn - 1
-			if bj >= ringCap {
-				bj -= ringCap
-			}
-			if minBuf[bj].v < x {
-				break
-			}
-			nn--
-		}
-		bj := nh + nn
-		if bj >= ringCap {
-			bj -= ringCap
-		}
-		minBuf[bj] = idxVal{idx: idx, v: x}
-		nn++
-		lo := idx - w + 1
-		for maxBuf[mh].idx < lo {
-			mh++
-			if mh >= ringCap {
-				mh = 0
-			}
-			mn--
-		}
-		for minBuf[nh].idx < lo {
-			nh++
-			if nh >= ringCap {
-				nh = 0
-			}
-			nn--
-		}
-		if idx >= w-1 {
-			osc = append(osc, maxBuf[mh].v-minBuf[nh].v)
-		}
-	}
-	s.maxD.head, s.maxD.n = mh, mn
-	s.minD.head, s.minD.n = nh, nn
-	s.osc = osc
-}
-
 // cascadeScratch is PushColumns' per-call working memory: the contiguous
 // raw view and the max/min arrays the dyadic cascade shrinks in place.
 // It is O(batch) and shared through cascadePool, so an estimator holds

@@ -43,7 +43,6 @@ type FlightRecorder struct {
 	ring   []Record
 	next   int
 	filled bool
-	total  uint64
 }
 
 // NewFlightRecorder builds a recorder retaining the last depth records,
@@ -76,7 +75,6 @@ func (f *FlightRecorder) Append(recs []Record) {
 			f.next, f.filled = 0, true
 		}
 	}
-	f.total += uint64(len(recs))
 	f.mu.Unlock()
 }
 
@@ -91,7 +89,6 @@ func (f *FlightRecorder) Push(r Record) {
 	if f.next == len(f.ring) {
 		f.next, f.filled = 0, true
 	}
-	f.total++
 	f.mu.Unlock()
 }
 
@@ -106,16 +103,6 @@ func (f *FlightRecorder) Len() int {
 		return len(f.ring)
 	}
 	return f.next
-}
-
-// Total returns how many records have ever been appended.
-func (f *FlightRecorder) Total() uint64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.total
 }
 
 // Snapshot returns the retained records, oldest first (copy; nil

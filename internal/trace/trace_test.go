@@ -217,8 +217,8 @@ func TestFlightRecorderRing(t *testing.T) {
 			t.Errorf("rec[%d].Seq = %d, want %d (oldest first)", i, r.Seq, want)
 		}
 	}
-	if fr.Total() != 5 || fr.Len() != 3 {
-		t.Errorf("Total/Len = %d/%d, want 5/3", fr.Total(), fr.Len())
+	if fr.Len() != 3 {
+		t.Errorf("Len = %d, want 3", fr.Len())
 	}
 }
 
@@ -240,7 +240,7 @@ func TestNilFlightRecorderIsFreeAndSafe(t *testing.T) {
 	var fr *FlightRecorder
 	fr.Push(Record{})
 	fr.Append([]Record{{}})
-	if fr.Snapshot() != nil || fr.Len() != 0 || fr.Total() != 0 || fr.Depth() != 0 {
+	if fr.Snapshot() != nil || fr.Len() != 0 || fr.Depth() != 0 {
 		t.Fatal("nil recorder must be empty")
 	}
 	recs := []Record{{Seq: 1}}
